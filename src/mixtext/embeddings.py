@@ -146,8 +146,17 @@ def cosine(u, v) -> float:
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
+    # scaling each vector by its largest component keeps the squares inside
+    # the norms from underflowing (or overflowing); cosine ignores the scale
+    u = _unit_max(u)
+    v = _unit_max(v)
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+
+
+def _unit_max(x: np.ndarray) -> np.ndarray:
+    peak = np.abs(x).max(initial=0.0)
+    return x / peak if peak > 0.0 else x

@@ -5,6 +5,7 @@ external command.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import subprocess
 import tempfile
@@ -12,7 +13,6 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from .fnv import fnv1a64
 from .hocr import HocrPage, parse_hocr
 from .imaging import RasterImage, save_pgm
 
@@ -34,8 +34,9 @@ class ScriptedMissError(RecognizerError):
 
 
 def image_fingerprint(img: RasterImage) -> str:
-    """Stable identity of an image: dimensions plus FNV-1a of its pixels."""
-    return f"{img.width}x{img.height}:{fnv1a64(img.pixels):016x}"
+    """Stable identity of an image: dimensions plus a 64-bit BLAKE2b digest
+    of its pixels."""
+    return f"{img.width}x{img.height}:{hashlib.blake2b(img.pixels, digest_size=8).hexdigest()}"
 
 
 @dataclass(frozen=True)

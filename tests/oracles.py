@@ -6,6 +6,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from mixtext.imaging import (
+    BINARIZE_THRESHOLD,
+    DEFAULT_DESKEW_RANGE,
+    DEFAULT_DESKEW_STEP,
+    RasterImage,
+    SkewEstimate,
+    rotate,
+)
+
 
 def dp_distance(a: str, b: str) -> int:
     """Full-matrix Levenshtein."""
@@ -80,3 +89,46 @@ def context_choice(prev: str, current: list[str], following: list[str], lookup) 
                 best_value = value
                 best_row = i
     return current[best_row]
+
+
+def rotating_skew(
+    img: RasterImage,
+    search_range_degrees: float = DEFAULT_DESKEW_RANGE,
+    step_degrees: float = DEFAULT_DESKEW_STEP,
+) -> SkewEstimate:
+    """Correcting angle that maximizes horizontal projection-profile variance,
+    found by rotating the whole raster at every grid angle (the method
+    `mixtext.imaging.estimate_skew` replaced).
+
+    The image is binarized at the fixed threshold; for every angle on the
+    search grid the foreground is rotated and its per-row pixel counts
+    histogrammed, and the angle whose profile has the largest variance wins.
+    Rotating the image by the returned angle aligns its text lines. A blank
+    image scores (0, 0). Ties prefer the smaller absolute angle.
+    """
+    if not 0 < step_degrees <= search_range_degrees <= 45:
+        raise ValueError(
+            f"need 0 < step ({step_degrees}) <= range ({search_range_degrees}) <= 45"
+        )
+    if not np.any(img.to_array() < BINARIZE_THRESHOLD):
+        return SkewEstimate(0.0, 0.0)
+
+    steps = int((search_range_degrees + 1e-9) / step_degrees)
+    grid = [i * step_degrees for i in range(-steps, steps + 1) if -45.0 < i * step_degrees <= 45.0]
+    best: tuple[float, float, float] | None = None  # (score, -|angle|, -angle)
+    best_angle = 0.0
+    best_score = 0.0
+    for angle in grid:
+        rotated = img if angle == 0 else rotate(img, angle)
+        foreground = rotated.to_array() < BINARIZE_THRESHOLD
+        profile = foreground.sum(axis=1)
+        occupied = np.nonzero(profile)[0]
+        if len(occupied) == 0:
+            score = 0.0
+        else:
+            score = float(profile[occupied[0] : occupied[-1] + 1].var())
+        key = (score, -abs(angle), -angle)
+        if best is None or key > best:
+            best = key
+            best_angle, best_score = angle, score
+    return SkewEstimate(best_angle, best_score)

@@ -40,13 +40,18 @@ VOCAB = [
 ]
 
 
-def layout_boxes(line_sizes: list[int]) -> list[WordBox]:
-    """Word boxes for `line_sizes[i]` words on line i, in a regular grid."""
+def layout_boxes(line_sizes: list[int], stagger: int = 0) -> list[WordBox]:
+    """Word boxes for `line_sizes[i]` words on line i, in a regular grid.
+
+    A nonzero `stagger` shifts line i right by `i * stagger` pixels modulo the
+    word pitch, so words on neighbouring lines no longer line up in columns.
+    """
     boxes = []
     for line_index, count in enumerate(line_sizes):
         y0 = MARGIN + line_index * (WORD_H + GAP_Y)
+        shift = (line_index * stagger) % (WORD_W + GAP_X)
         for word_index in range(count):
-            x0 = MARGIN + word_index * (WORD_W + GAP_X)
+            x0 = MARGIN + shift + word_index * (WORD_W + GAP_X)
             boxes.append(
                 WordBox(
                     text=f"w{line_index}-{word_index}",
@@ -78,9 +83,11 @@ def draw_page(boxes: list[WordBox], code_offset: int = 0) -> RasterImage:
     return RasterImage.from_array(arr)
 
 
-def page_with_words(lines: list[list[str]]) -> tuple[RasterImage, list[WordBox]]:
+def page_with_words(
+    lines: list[list[str]], stagger: int = 0
+) -> tuple[RasterImage, list[WordBox]]:
     """Page image plus word boxes carrying the given texts."""
-    boxes = layout_boxes([len(line) for line in lines])
+    boxes = layout_boxes([len(line) for line in lines], stagger)
     img = draw_page(boxes)
     texts = [word for line in lines for word in line]
     boxes = [
@@ -163,6 +170,20 @@ def deskew_scenario(root: Path):
     save_pgm(skewed, path)
     label = " ".join(word for line in lines for word in line)
     return path, script, label
+
+
+def sideways_skew_scenario(root: Path, skew: float, presented_angle: int):
+    """Page tilted by `skew` and then presented at a cardinal rotation; only
+    the planted corrections (deskew by -skew, then undo the presentation)
+    are scripted, so a wrong deskew angle leaves no rotation that reads."""
+    lines = [[VOCAB[(6 * i + j) % len(VOCAB)] for j in range(6)] for i in range(4)]
+    # staggered so that, sideways, the words do not line up into rows of ink
+    img, boxes = page_with_words(lines, stagger=7)
+    presented = rotate(rotate(img, skew), presented_angle)
+    upright = rotate(rotate(presented, -skew), -presented_angle)
+    path = root / f"skew{skew}-rot{presented_angle}.pgm"
+    save_pgm(presented, path)
+    return path, script_page(upright, boxes), lines
 
 
 def padding_scenario(root: Path):

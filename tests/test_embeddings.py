@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mixtext.embeddings import (
@@ -130,6 +130,8 @@ finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
     alpha=st.floats(min_value=0.01, max_value=50),
     beta=st.floats(min_value=0.01, max_value=50),
 )
+# squares of components this small underflow inside a plain Euclidean norm
+@example(u=[0, 0, 1.18e-158], v=[0, 0, 1], alpha=0.125, beta=1.0)
 def test_cosine_scale_invariance(u, v, alpha, beta):
     u = np.array(u)
     v = np.array(v)

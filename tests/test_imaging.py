@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import rotating_skew
+from synth import draw_page, layout_boxes
 
 from mixtext.docmodel import WordBox
 from mixtext.imaging import (
@@ -276,6 +278,47 @@ def test_estimate_skew_stays_within_range():
     rotated = rotate(stripes(), -12.0)
     estimate = estimate_skew(rotated, 11.0, 4.0)
     assert abs(estimate.angle_degrees) <= 11.0
+
+
+@pytest.mark.parametrize("search_range, step", [(15.0, 0.5), (11.0, 4.0)])
+def test_estimate_skew_degenerate_profiles(search_range, step):
+    # one ink pixel projects to a single bin at every angle; a single ink
+    # row is a single row bin at 0 degrees and a flat column profile
+    dot = np.full((9, 9), 255, dtype=np.uint8)
+    dot[4, 4] = 0
+    row = np.full((9, 40), 255, dtype=np.uint8)
+    row[4, 3:37] = 0
+    for arr in (dot, row):
+        estimate = estimate_skew(RasterImage.from_array(arr), search_range, step)
+        angle = estimate.angle_degrees
+        assert abs(angle) <= search_range and (angle / step).is_integer()
+        assert estimate.score >= 0
+
+
+def skewed_line_page(line_sizes, skew, presented, stagger=0):
+    return rotate(rotate(draw_page(layout_boxes(line_sizes, stagger)), skew), presented)
+
+
+# Line pages of at least three lines of ten words: on shorter pages the
+# rotating oracle itself misses the planted angle by a grid step now and then.
+line_pages = st.lists(st.integers(10, 14), min_size=3, max_size=6)
+grid_skews = st.integers(-20, 20).map(lambda i: i * 0.5)
+
+
+@settings(max_examples=10, deadline=None)
+@given(line_pages, grid_skews, st.sampled_from([0, 180]))
+def test_estimate_skew_matches_rotating_oracle(line_sizes, skew, presented):
+    page = skewed_line_page(line_sizes, skew, presented)
+    expected = rotating_skew(page, 10.0, 0.5)
+    assert estimate_skew(page, 10.0, 0.5).angle_degrees == expected.angle_degrees
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(2, 14), min_size=3, max_size=6), grid_skews, st.integers(0, 23))
+def test_estimate_skew_same_at_every_cardinal_rotation(line_sizes, skew, stagger):
+    page = skewed_line_page(line_sizes, skew, 0, stagger)
+    angles = [estimate_skew(rotate(page, k * 90)).angle_degrees for k in range(4)]
+    assert angles == [-skew] * 4
 
 
 # --- rotate -----------------------------------------------------------------

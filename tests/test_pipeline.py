@@ -25,6 +25,7 @@ from synth import (
     rotation_scenario,
     script_crops,
     script_page,
+    sideways_skew_scenario,
 )
 
 DICT_PATH = "tests/data/words_en.txt"
@@ -288,6 +289,13 @@ def test_deskew_improves_accuracy(tmp_path):
     assert acc_on == 1.0
     assert acc_on >= acc_off
     assert acc_off < 1.0
+
+
+def test_skewed_sideways_page_reads_fully(tmp_path):
+    path, script, lines = sideways_skew_scenario(tmp_path, 3.5, 90)
+    cfg = base_config(machine_mock(script), deskew=True, rotate_select=True)
+    record = transcribe_page(path, cfg)
+    assert record.final.lines == tuple(tuple(line) for line in lines)
 
 
 def test_padding_improves_accuracy(tmp_path):

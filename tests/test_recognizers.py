@@ -1,3 +1,4 @@
+import re
 import sys
 
 import pytest
@@ -29,6 +30,17 @@ def test_fingerprint_is_stable_and_sensitive():
     assert image_fingerprint(a) != image_fingerprint(img(value=1))
     assert image_fingerprint(img(2, 3)) != image_fingerprint(img(3, 2))
     assert image_fingerprint(a).startswith("6x4:")
+
+
+def test_fingerprint_format_and_single_changes():
+    pixels = bytes(range(6))
+    base = RasterImage(3, 2, pixels)
+    assert re.fullmatch(r"3x2:[0-9a-f]{16}", image_fingerprint(base))
+    one_pixel = RasterImage(3, 2, pixels[:4] + bytes([pixels[4] + 1]) + pixels[5:])
+    assert image_fingerprint(one_pixel) != image_fingerprint(base)
+    swapped = RasterImage(2, 3, pixels)
+    assert image_fingerprint(swapped) != image_fingerprint(base)
+    assert image_fingerprint(swapped).split(":")[1] == image_fingerprint(base).split(":")[1]
 
 
 def test_mock_page_recognition():
