@@ -1,5 +1,6 @@
 """Raster operations for the pipeline: load/save, contrast enhancement,
-projection-profile deskew, rotation, and word cropping with white padding.
+projection-profile deskew, rotation, word cropping with white padding, and
+the one way to run an external engine on an image.
 
 Images are 8-bit grayscale, 0 = black ink, 255 = white background.
 """
@@ -12,6 +13,7 @@ import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -23,6 +25,8 @@ DEFAULT_DESKEW_STEP = 0.5
 DEFAULT_PAD_PIXELS = 10
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+
+T = TypeVar("T")
 
 
 class ImageFormatError(ValueError):
@@ -224,7 +228,12 @@ def enhance(
     instead ({in}/{out} placeholders name PGM files).
     """
     if command is not None:
-        return _enhance_external(img, command, timeout)
+        out = run_external(
+            command, img, timeout, "out.pgm", lambda path, _: load_image(path), EnhancementError
+        )
+        if (out.width, out.height) != (img.width, img.height):
+            raise EnhancementError("enhancement command changed image dimensions")
+        return out
     arr = img.to_array()
     return RasterImage.from_array(_median3(_stretch(arr)))
 
@@ -250,26 +259,39 @@ def _median3(arr: np.ndarray) -> np.ndarray:
     return np.median(stack, axis=0).astype(np.uint8)
 
 
-def _enhance_external(img: RasterImage, command: list[str], timeout: float | None) -> RasterImage:
-    with tempfile.TemporaryDirectory(prefix="mixtext-enhance-") as tmp:
+def run_external(
+    argv_template: Sequence[str],
+    img: RasterImage,
+    timeout: float | None,
+    out_name: str,
+    read: Callable[[str, bytes], T],
+    error: type[Exception],
+) -> T:
+    """Run an external engine on `img` and return what `read` makes of its output.
+
+    The image is written as a PGM into a fresh temporary directory; `{in}` in
+    the argv template names that file and `{out}` names `out_name` beside it.
+    `read(out_path, stdout)` runs before the directory is removed. Raises
+    `error` when the program cannot start, times out, exits nonzero, or its
+    output cannot be read (`read` raises OSError or ValueError).
+    """
+    with tempfile.TemporaryDirectory(prefix="mixtext-") as tmp:
         in_path = str(Path(tmp) / "in.pgm")
-        out_path = str(Path(tmp) / "out.pgm")
+        out_path = str(Path(tmp) / out_name)
         save_pgm(img, in_path)
-        argv = [arg.replace("{in}", in_path).replace("{out}", out_path) for arg in command]
+        argv = [arg.replace("{in}", in_path).replace("{out}", out_path) for arg in argv_template]
         try:
             proc = subprocess.run(argv, capture_output=True, timeout=timeout)
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            raise EnhancementError(f"enhancement command failed: {exc}") from exc
+        except subprocess.TimeoutExpired as exc:
+            raise error(f"{argv[0]} timed out after {timeout}s") from exc
+        except OSError as exc:
+            raise error(f"could not run {argv}: {exc}") from exc
         if proc.returncode != 0:
-            raise EnhancementError(
-                f"enhancement command exited {proc.returncode}: {proc.stderr[:200]!r}"
-            )
-        if not Path(out_path).exists():
-            raise EnhancementError("enhancement command produced no output file")
-        out = load_image(out_path)
-    if (out.width, out.height) != (img.width, img.height):
-        raise EnhancementError("enhancement command changed image dimensions")
-    return out
+            raise error(f"{argv[0]} exited {proc.returncode}: {proc.stderr[:200]!r}")
+        try:
+            return read(out_path, proc.stdout)
+        except (OSError, ValueError) as exc:
+            raise error(f"unusable output from {argv[0]}: {exc}") from exc
 
 
 def estimate_skew(

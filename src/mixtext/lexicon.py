@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .docmodel import UNK
+from .metrics import levenshtein
 
 LEADING_PUNCT = set("(\"'([{")
 TRAILING_PUNCT = set(".,;:!?\"')]}")
@@ -111,7 +112,7 @@ def spell_check(
 
     best: tuple[int, int, str] | None = None
     for candidate in dictionary.words_near_length(len(word), max_edit):
-        dist = _distance_at_most(word, candidate, max_edit)
+        dist = levenshtein(word, candidate, max_edit)
         if dist is None:
             continue
         key = (dist, -dictionary.frequencies.get(candidate, 0), candidate)
@@ -120,28 +121,6 @@ def spell_check(
     if best is None:
         return SpellResult(UNK, False, checker_id)
     return SpellResult(best[2], False, checker_id)
-
-
-def _distance_at_most(a: str, b: str, cutoff: int) -> int | None:
-    """Levenshtein distance, or None once it provably exceeds cutoff."""
-    if abs(len(a) - len(b)) > cutoff:
-        return None
-    if a == b:
-        return 0
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        current = [i] + [0] * len(b)
-        row_min = i
-        for j, cb in enumerate(b, 1):
-            cost = previous[j - 1] + (ca != cb)
-            val = min(previous[j] + 1, current[j - 1] + 1, cost)
-            current[j] = val
-            if val < row_min:
-                row_min = val
-        if row_min > cutoff:
-            return None
-        previous = current
-    return previous[-1] if previous[-1] <= cutoff else None
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,16 @@ HISTOGRAM_METRICS = ("lev_accuracy", "doc_similarity")
 SCALAR_FIELDS = ("lev_accuracy", "doc_similarity", "precision", "recall", "f_score")
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Unit-cost edit distance over Unicode scalar values."""
+def levenshtein(a: str, b: str, cutoff: int | None = None) -> int | None:
+    """Unit-cost edit distance over Unicode scalar values.
+
+    With a cutoff, returns None as soon as the distance provably exceeds it
+    (the length gap does, or every entry of a DP row does).
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
+    if cutoff is not None and abs(len(a) - len(b)) > cutoff:
+        return None
     previous = list(range(len(b) + 1))
     for i, ca in enumerate(a, 1):
         current = [i] + [0] * len(b)
@@ -32,8 +34,11 @@ def levenshtein(a: str, b: str) -> int:
                 current[j - 1] + 1,
                 previous[j - 1] + (ca != cb),
             )
+        if cutoff is not None and min(current) > cutoff:
+            return None
         previous = current
-    return previous[-1]
+    distance = previous[-1]
+    return None if cutoff is not None and distance > cutoff else distance
 
 
 def lev_accuracy(pred: str, target: str) -> float:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -171,10 +170,13 @@ def _recognizer_from_dict(doc: dict, default_timeout: float = 30.0) -> Recognize
 class Resources:
     """Shared read-only state loaded once per run."""
 
-    dictionary: Dictionary
     checkers: tuple[SpellChecker, ...]
     model: EmbeddingModel
-    semaphore: threading.Semaphore | None = None
+
+    @property
+    def dictionary(self) -> Dictionary:
+        """The first checker's dictionary, which scores rotations."""
+        return self.checkers[0].dictionary
 
 
 def embedding_model_from_config(cfg: PipelineConfig) -> EmbeddingModel:
@@ -186,26 +188,22 @@ def embedding_model_from_config(cfg: PipelineConfig) -> EmbeddingModel:
 
 
 def load_resources(cfg: PipelineConfig) -> Resources:
-    """Load dictionaries, the checker chain, and the embedding model."""
+    """Load dictionaries, the checker chain, and the embedding model.
+
+    Without a checker_chain, the legacy dictionary_path, frequency_path and
+    max_edit fields form a one-entry chain.
+    """
     cfg.validate()
-    checkers: list[SpellChecker] = []
-    if cfg.checker_chain:
-        for entry in cfg.checker_chain:
-            dictionary = load_dictionary(entry.dictionary_path, entry.frequency_path)
-            checkers.append(
-                SpellChecker(dictionary, entry.max_edit, entry.checker_id)
-            )
-    elif cfg.dictionary_path:
-        dictionary = load_dictionary(cfg.dictionary_path, cfg.frequency_path)
-        checkers.append(SpellChecker(dictionary, cfg.max_edit))
-    if not checkers:
+    chain = cfg.checker_chain
+    if not chain and cfg.dictionary_path:
+        chain = (CheckerConfig(cfg.dictionary_path, cfg.frequency_path, cfg.max_edit),)
+    if not chain:
         raise ConfigError("transcription needs dictionary_path or a checker_chain")
-    return Resources(
-        dictionary=checkers[0].dictionary,
-        checkers=tuple(checkers),
-        model=embedding_model_from_config(cfg),
-        semaphore=threading.Semaphore(max(1, cfg.parallelism)),
+    checkers = tuple(
+        SpellChecker(load_dictionary(e.dictionary_path, e.frequency_path), e.max_edit, e.checker_id)
+        for e in chain
     )
+    return Resources(checkers=checkers, model=embedding_model_from_config(cfg))
 
 
 def select_rotation(
@@ -220,7 +218,7 @@ def select_rotation(
     for angle in sorted(set(cfg.rotation_candidates)):
         candidate = rotate(img, angle) if angle else img
         try:
-            page = recognize_page(cfg.machine_printed, candidate, resources.semaphore)
+            page = recognize_page(cfg.machine_printed, candidate)
         except RecognizerError as exc:
             errors.append(f"{angle}deg: {exc}")
             continue
@@ -270,7 +268,7 @@ def transcribe_page(
             img = rotate(img, angle)
     else:
         try:
-            page = recognize_page(cfg.machine_printed, img, resources.semaphore)
+            page = recognize_page(cfg.machine_printed, img)
         except RecognizerError as exc:
             raise PageError(f"{source_id}: {exc}") from exc
     if not page.words:
@@ -307,7 +305,7 @@ def _word_options(
     if cfg.handwritten is not None:
         try:
             crop = crop_word(img, wb, cfg.pad_pixels)
-            raw = recognize_word(cfg.handwritten, crop, resources.semaphore)
+            raw = recognize_word(cfg.handwritten, crop)
         except (RecognizerError, GeometryError) as exc:
             log.warning("word %s at %s failed handwriting recognition: %s", a, wb.position, exc)
         else:

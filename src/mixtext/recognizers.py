@@ -7,14 +7,11 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import subprocess
-import tempfile
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 from .hocr import HocrPage, parse_hocr
-from .imaging import RasterImage, save_pgm
+from .imaging import RasterImage, run_external
 
 log = logging.getLogger(__name__)
 
@@ -26,7 +23,7 @@ DEFAULT_TIMEOUT = 30.0
 
 
 class RecognizerError(RuntimeError):
-    """An external engine failed, timed out, or produced no output."""
+    """An external engine failed, timed out, or produced no usable output."""
 
 
 class ScriptedMissError(RecognizerError):
@@ -67,25 +64,16 @@ class RecognizerSpec:
             object.__setattr__(self, "argv_template", tuple(self.argv_template))
 
 
-def recognize_page(
-    spec: RecognizerSpec,
-    img: RasterImage,
-    semaphore: threading.Semaphore | None = None,
-) -> HocrPage:
+def recognize_page(spec: RecognizerSpec, img: RasterImage) -> HocrPage:
     """Run page-level machine-printed recognition, yielding hOCR word boxes."""
     if spec.kind != MACHINE_PRINTED:
         raise ValueError(f"recognize_page needs a {MACHINE_PRINTED} spec, got {spec.kind}")
     if spec.backend == MOCK:
         return parse_hocr(_mock_lookup(spec, img))
-    out = _run_external(spec, img, semaphore, wants_hocr=True)
-    return parse_hocr(out)
+    return run_external(spec.argv_template, img, spec.timeout, "out", _read_hocr, RecognizerError)
 
 
-def recognize_word(
-    spec: RecognizerSpec,
-    word_img: RasterImage,
-    semaphore: threading.Semaphore | None = None,
-) -> str:
+def recognize_word(spec: RecognizerSpec, word_img: RasterImage) -> str:
     """Run word-level handwriting recognition on a cropped, padded word image.
 
     Multi-token engine output is collapsed to its first whitespace-delimited
@@ -96,7 +84,9 @@ def recognize_word(
     if spec.backend == MOCK:
         raw = _mock_lookup(spec, word_img)
     else:
-        raw = _run_external(spec, word_img, semaphore, wants_hocr=False)
+        raw = run_external(
+            spec.argv_template, word_img, spec.timeout, "out", _read_stdout, RecognizerError
+        )
     tokens = raw.split()
     if len(tokens) > 1:
         log.debug("collapsing multi-token recognition %r to %r", raw, tokens[0])
@@ -112,39 +102,10 @@ def _mock_lookup(spec: RecognizerSpec, img: RasterImage) -> str:
         raise ScriptedMissError(f"no scripted output for image {fp}") from None
 
 
-def _run_external(
-    spec: RecognizerSpec,
-    img: RasterImage,
-    semaphore: threading.Semaphore | None,
-    wants_hocr: bool,
-) -> str:
-    assert spec.argv_template is not None
-    with tempfile.TemporaryDirectory(prefix="mixtext-recognize-") as tmp:
-        in_path = str(Path(tmp) / "in.pgm")
-        out_base = str(Path(tmp) / "out")
-        save_pgm(img, in_path)
-        argv = [
-            arg.replace("{in}", in_path).replace("{out}", out_base)
-            for arg in spec.argv_template
-        ]
-        if semaphore is not None:
-            semaphore.acquire()
-        try:
-            proc = subprocess.run(argv, capture_output=True, timeout=spec.timeout)
-        except subprocess.TimeoutExpired as exc:
-            raise RecognizerError(f"recognizer timed out after {spec.timeout}s: {argv}") from exc
-        except OSError as exc:
-            raise RecognizerError(f"could not run recognizer {argv}: {exc}") from exc
-        finally:
-            if semaphore is not None:
-                semaphore.release()
-        if proc.returncode != 0:
-            raise RecognizerError(
-                f"recognizer exited {proc.returncode}: {proc.stderr[:200]!r}"
-            )
-        if wants_hocr:
-            hocr_path = Path(out_base + ".hocr")
-            if not hocr_path.exists():
-                raise RecognizerError(f"recognizer wrote no {hocr_path.name} file")
-            return hocr_path.read_text(encoding="utf-8")
-        return proc.stdout.decode("utf-8", errors="replace")
+def _read_hocr(out_base: str, _stdout: bytes) -> HocrPage:
+    # the page engine appends ".hocr" to the {out} base name
+    return parse_hocr(Path(out_base + ".hocr").read_text(encoding="utf-8"))
+
+
+def _read_stdout(_out_base: str, stdout: bytes) -> str:
+    return stdout.decode("utf-8", errors="replace")

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import dp_distance
 
 from mixtext.docmodel import UNK
 from mixtext.lexicon import (
@@ -12,22 +13,6 @@ from mixtext.lexicon import (
     spell_check,
     tokenize,
 )
-
-
-def dp_distance(a: str, b: str) -> int:
-    """Full-matrix reference implementation, kept independent of the package."""
-    rows = len(a) + 1
-    cols = len(b) + 1
-    dist = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        dist[i][0] = i
-    for j in range(cols):
-        dist[0][j] = j
-    for i in range(1, rows):
-        for j in range(1, cols):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            dist[i][j] = min(dist[i - 1][j] + 1, dist[i][j - 1] + 1, dist[i - 1][j - 1] + cost)
-    return dist[-1][-1]
 
 
 def nearest_by_scan(word: str, dictionary: Dictionary, max_edit: int) -> str:

@@ -48,6 +48,14 @@ def test_levenshtein_matches_dp_oracle(a, b):
     assert levenshtein(a, b) == dp_distance(a, b)
 
 
+@settings(max_examples=200)
+@given(a=st.text("abc", max_size=8), b=st.text("abc", max_size=8), cutoff=st.integers(0, 4))
+def test_levenshtein_cutoff_matches_dp_oracle(a, b, cutoff):
+    # a small alphabet keeps many pairs within the cutoff
+    full = dp_distance(a, b)
+    assert levenshtein(a, b, cutoff) == (full if full <= cutoff else None)
+
+
 @given(a=short_text, b=short_text, c=short_text)
 def test_levenshtein_metric_axioms(a, b, c):
     assert levenshtein(a, b) == levenshtein(b, a)

@@ -7,6 +7,7 @@ from mixtext.docmodel import UNK, flatten, options_size
 from mixtext.imaging import enhance, rotate, save_pgm
 from mixtext.metrics import lev_accuracy, options_stats
 from mixtext.pipeline import (
+    CheckerConfig,
     ConfigError,
     PageError,
     PipelineConfig,
@@ -15,6 +16,7 @@ from mixtext.pipeline import (
     select_rotation,
     transcribe_page,
 )
+from mixtext.recognizers import EXTERNAL, MACHINE_PRINTED, RecognizerSpec
 
 from synth import (
     deskew_scenario,
@@ -122,6 +124,21 @@ def test_checker_chain_config(tmp_path):
     assert [c.checker_id for c in resources.checkers] == ["main", "extra"]
     # the first dictionary also backs rotation scoring
     assert resources.dictionary.contains("the")
+
+
+def test_legacy_dictionary_fields_form_one_checker(tmp_path):
+    legacy = load_resources(PipelineConfig(dictionary_path=DICT_PATH, max_edit=1))
+    assert [(c.checker_id, c.max_edit) for c in legacy.checkers] == [("builtin", 1)]
+    assert legacy.dictionary is legacy.checkers[0].dictionary
+    # an explicit chain wins over the legacy fields
+    other = tmp_path / "other.txt"
+    other.write_text("zonkey\n", encoding="utf-8")
+    both = PipelineConfig(
+        dictionary_path=DICT_PATH, checker_chain=(CheckerConfig(str(other), checker_id="other"),)
+    )
+    resources = load_resources(both)
+    assert [c.checker_id for c in resources.checkers] == ["other"]
+    assert not resources.dictionary.contains("the")
 
 
 # --- single page flow ---------------------------------------------------------
@@ -277,6 +294,19 @@ def test_rotation_all_failures_is_page_error(tmp_path, english):
         select_rotation(img, cfg, resources)
 
 
+@pytest.mark.parametrize("rotate_select", [True, False])
+def test_malformed_hocr_at_every_rotation_is_page_error(tmp_path, rotate_select):
+    _, _, path = make_page(tmp_path, [["a", "move"]])
+    malformed = "import sys; open(sys.argv[2] + '.hocr', 'w').write('<html><body><span')"
+    engine = RecognizerSpec(
+        kind=MACHINE_PRINTED,
+        backend=EXTERNAL,
+        argv_template=(sys.executable, "-c", malformed, "{in}", "{out}"),
+    )
+    with pytest.raises(PageError):
+        transcribe_page(path, base_config(engine, rotate_select=rotate_select))
+
+
 # --- preprocessing toggles ----------------------------------------------------
 
 
@@ -339,15 +369,18 @@ def test_external_enhancement_failure_falls_back(tmp_path, caplog):
     script = script_page(enhance(img), boxes)  # keyed on the built-in result
     path = tmp_path / "page.pgm"
     save_pgm(img, path)
-    cfg = base_config(
-        machine_mock(script),
-        enhance=True,
-        enhancement_command=(sys.executable, "-c", "import sys; sys.exit(1)", "{in}", "{out}"),
-    )
-    with caplog.at_level("WARNING"):
-        record = transcribe_page(path, cfg)
-    assert flatten(record.final) == ["a", "move"]
-    assert any("enhancement failed" in message for message in caplog.messages)
+    # a nonzero exit, and an exit 0 that leaves something other than an image
+    for program in ("import sys; sys.exit(1)", "import sys; open(sys.argv[2], 'w').write('junk')"):
+        cfg = base_config(
+            machine_mock(script),
+            enhance=True,
+            enhancement_command=(sys.executable, "-c", program, "{in}", "{out}"),
+        )
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            record = transcribe_page(path, cfg)
+        assert flatten(record.final) == ["a", "move"]
+        assert any("enhancement failed" in message for message in caplog.messages)
 
 
 def test_external_enhancement_success_is_used(tmp_path):

@@ -162,13 +162,20 @@ def test_external_nonzero_exit():
 
 
 def test_external_missing_output_file():
-    spec = RecognizerSpec(
-        kind=MACHINE_PRINTED,
-        backend=EXTERNAL,
-        argv_template=(sys.executable, "-c", "pass", "{in}", "{out}"),
-    )
-    with pytest.raises(RecognizerError):
-        recognize_page(spec, img())
+    # exit 0 but no usable {out}.hocr: none at all, not UTF-8, cut off mid-tag
+    write = "import sys; open(sys.argv[2] + '.hocr', 'wb').write({!r})"
+    for script in (
+        "pass",
+        write.format(b"<html><body>\xff\xfe</body></html>"),
+        write.format(b"<html><body><span class='ocr_line'><span class='ocrx_word' title='bbox 0 0 1"),
+    ):
+        spec = RecognizerSpec(
+            kind=MACHINE_PRINTED,
+            backend=EXTERNAL,
+            argv_template=(sys.executable, "-c", script, "{in}", "{out}"),
+        )
+        with pytest.raises(RecognizerError):
+            recognize_page(spec, img())
 
 
 def test_external_timeout():
