@@ -14,7 +14,6 @@ import os
 import shlex
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 from .docmodel import PageRecord, Transcription, flatten, options_size
@@ -25,9 +24,10 @@ from .pipeline import (
     PageError,
     PipelineConfig,
     embedding_model_from_config,
+    read_config,
     run_corpus,
     transcribe_page,
-    _recognizer_from_dict,
+    write_page_outputs,
 )
 
 CONFIG_ENV_VAR = "TMIXT_CONFIG"
@@ -118,38 +118,30 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args) -> PipelineConfig:
+    """Merge the flags into the config file's raw values, then convert once."""
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    cfg = PipelineConfig.from_file(path) if path else PipelineConfig()
-    overrides = {}
+    doc = read_config(path) if path else {}
     for _, dest, _ in _FIELD_FLAGS:
-        value = getattr(args, dest, None)
-        if value is not None:
-            overrides[dest] = value
-    if getattr(args, "rotation_candidates", None):
+        if getattr(args, dest) is not None:
+            doc[dest] = getattr(args, dest)
+    if args.rotation_candidates:
+        doc["rotation_candidates"] = args.rotation_candidates.split(",")
+    if args.enhancement_command:
         try:
-            overrides["rotation_candidates"] = tuple(
-                int(a) for a in args.rotation_candidates.split(",")
-            )
-        except ValueError:
-            raise ConfigError(f"bad --rotation-candidates {args.rotation_candidates!r}") from None
-    if getattr(args, "enhancement_command", None):
-        overrides["enhancement_command"] = tuple(shlex.split(args.enhancement_command))
+            doc["enhancement_command"] = shlex.split(args.enhancement_command)
+        except ValueError as exc:
+            raise ConfigError(f"bad --enhancement-command: {exc}") from None
     for flag in ("machine_printed", "handwritten"):
-        raw = getattr(args, flag, None)
+        raw = getattr(args, flag)
         if raw is not None:
             try:
-                overrides[flag] = _recognizer_from_dict(json.loads(raw))
+                doc[flag] = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"--{flag.replace('_', '-')} is not valid JSON: {exc}") from None
-    if getattr(args, "no_enhance", False):
-        overrides["enhance"] = False
-    if getattr(args, "no_deskew", False):
-        overrides["deskew"] = False
-    if getattr(args, "no_rotate", False):
-        overrides["rotate_select"] = False
-    cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+    for flag, key in (("no_enhance", "enhance"), ("no_deskew", "deskew"), ("no_rotate", "rotate_select")):
+        if getattr(args, flag):
+            doc[key] = False
+    return PipelineConfig.from_dict(doc)
 
 
 def _cmd_transcribe(args) -> int:
@@ -159,8 +151,7 @@ def _cmd_transcribe(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"{record.source_id}.txt").write_text(record.final.to_text(), encoding="utf-8")
-        (out / f"{record.source_id}.json").write_text(record.to_json(), encoding="utf-8")
+        write_page_outputs(record, out)
     sys.stdout.write(record.final.to_text())
     return 0
 

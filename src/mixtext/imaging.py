@@ -217,7 +217,7 @@ def _unfilter_scanlines(raw: bytes, height: int, stride: int, bpp: int) -> bytea
 
 def enhance(
     img: RasterImage,
-    command: list[str] | None = None,
+    command: Sequence[str] | None = None,
     timeout: float | None = None,
 ) -> RasterImage:
     """Contrast enhancement; dimensions never change.

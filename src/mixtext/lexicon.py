@@ -56,8 +56,8 @@ class Dictionary:
         return len(self.words)
 
     def contains(self, word: str) -> bool:
-        """Case-sensitive membership first, then the lowercase index."""
-        return word in self.words or word.lower() in self.casefold_index
+        """Case-insensitive membership; the index holds every word in lower case."""
+        return word.lower() in self.casefold_index
 
     def words_near_length(self, length: int, slack: int):
         for n in range(max(0, length - slack), length + slack + 1):

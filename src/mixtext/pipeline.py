@@ -39,7 +39,7 @@ from .hocr import HocrPage
 from .lexicon import Dictionary, SpellChecker, dictionary_score, load_dictionary, spell_chain
 from .metrics import EvalPair, EvaluationReport, build_report
 from .nomination import RULE, STRATEGIES, resolve_document
-from .recognizers import RecognizerError, RecognizerSpec, recognize_page, recognize_word
+from .recognizers import DEFAULT_TIMEOUT, RecognizerError, RecognizerSpec, recognize_page, recognize_word
 
 log = logging.getLogger(__name__)
 
@@ -67,6 +67,8 @@ class CheckerConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Every setting of a run; a bad value raises ConfigError, also on `replace`."""
+
     machine_printed: RecognizerSpec | None = None
     handwritten: RecognizerSpec | None = None
     dictionary_path: str | None = None
@@ -85,8 +87,14 @@ class PipelineConfig:
     deskew: bool = True
     rotate_select: bool = True
     parallelism: int = 4
-    timeout: float = 30.0
+    timeout: float = DEFAULT_TIMEOUT
     max_edit: int = 2
+
+    def __post_init__(self) -> None:
+        try:
+            self.validate()
+        except TypeError as exc:  # e.g. a string where a number belongs
+            raise ConfigError(f"config value of the wrong type: {exc}") from None
 
     def validate(self) -> None:
         if not self.rotation_candidates:
@@ -114,56 +122,57 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
+        """The one converter from raw values (a config file's object plus any flag
+        overrides); recognizer entries without a `timeout` take the config's."""
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(doc)
-        default_timeout = kwargs.get("timeout", 30.0)
-        for key in ("machine_printed", "handwritten"):
+        timeout = kwargs.get("timeout", DEFAULT_TIMEOUT)
+        converters = {
+            "machine_printed": lambda entry: _recognizer_from_dict(entry, timeout),
+            "handwritten": lambda entry: _recognizer_from_dict(entry, timeout),
+            "checker_chain": lambda entries: tuple(CheckerConfig(**e) for e in entries),
+            "rotation_candidates": lambda angles: tuple(int(a) for a in angles),
+            "enhancement_command": _strings,
+        }
+        for key, convert in converters.items():
             if kwargs.get(key) is not None:
-                kwargs[key] = _recognizer_from_dict(kwargs[key], default_timeout)
-        if kwargs.get("checker_chain"):
-            kwargs["checker_chain"] = tuple(
-                CheckerConfig(**entry) for entry in kwargs["checker_chain"]
-            )
-        if kwargs.get("rotation_candidates") is not None:
-            kwargs["rotation_candidates"] = tuple(int(a) for a in kwargs["rotation_candidates"])
-        if kwargs.get("enhancement_command") is not None:
-            kwargs["enhancement_command"] = tuple(kwargs["enhancement_command"])
-        try:
-            cfg = cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
-        cfg.validate()
-        return cfg
+                try:
+                    kwargs[key] = convert(kwargs[key])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"bad {key}: {exc}") from None
+        return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config {path} must hold a JSON object")
-        return cls.from_dict(doc)
+        return cls.from_dict(read_config(path))
 
 
-def _recognizer_from_dict(doc: dict, default_timeout: float = 30.0) -> RecognizerSpec:
-    """Build a RecognizerSpec from config JSON; the pipeline's external-call
-    timeout applies unless the entry sets its own."""
+def read_config(path: str | Path) -> dict:
+    """The raw JSON object of a config file."""
     try:
-        return RecognizerSpec(
-            kind=doc["kind"],
-            backend=doc["backend"],
-            argv_template=tuple(doc["argv_template"]) if doc.get("argv_template") else None,
-            mock_script=doc.get("mock_script"),
-            timeout=doc.get("timeout", default_timeout),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad recognizer spec: {exc}") from None
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return doc
+
+
+def _recognizer_from_dict(entry: dict, timeout: float) -> RecognizerSpec:
+    spec = {"timeout": timeout, **entry}
+    if spec.get("argv_template") is not None:
+        spec["argv_template"] = _strings(spec["argv_template"])
+    return RecognizerSpec(**spec)
+
+
+def _strings(value) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"expected a list of strings, got {value!r}")
+    return tuple(value)
 
 
 @dataclass
@@ -193,7 +202,6 @@ def load_resources(cfg: PipelineConfig) -> Resources:
     Without a checker_chain, the legacy dictionary_path, frequency_path and
     max_edit fields form a one-entry chain.
     """
-    cfg.validate()
     chain = cfg.checker_chain
     if not chain and cfg.dictionary_path:
         chain = (CheckerConfig(cfg.dictionary_path, cfg.frequency_path, cfg.max_edit),)
@@ -209,13 +217,13 @@ def load_resources(cfg: PipelineConfig) -> Resources:
 def select_rotation(
     img: RasterImage, cfg: PipelineConfig, resources: Resources
 ) -> tuple[int, HocrPage]:
-    """Recognize every candidate cardinal rotation and keep the one whose
-    words score best against the dictionary; ties go to the smaller angle."""
-    if cfg.machine_printed is None:
-        raise ConfigError("no machine_printed recognizer configured")
+    """Recognize every candidate cardinal rotation (only 0 when rotation
+    selection is off) and keep the one whose words score best against the
+    dictionary; ties go to the smaller angle."""
     best: tuple[float, int, HocrPage] | None = None
     errors: list[str] = []
-    for angle in sorted(set(cfg.rotation_candidates)):
+    candidates = cfg.rotation_candidates if cfg.rotate_select else (0,)
+    for angle in sorted(set(candidates)):
         candidate = rotate(img, angle) if angle else img
         try:
             page = recognize_page(cfg.machine_printed, candidate)
@@ -238,7 +246,6 @@ def transcribe_page(
     Word-level handwriting failures degrade that word's options to the UNK
     pair; only unreadable images or total recognition failure raise.
     """
-    cfg.validate()
     if cfg.machine_printed is None:
         raise ConfigError("no machine_printed recognizer configured")
     if resources is None:
@@ -250,27 +257,18 @@ def transcribe_page(
         raise PageError(f"{path}: {exc}") from exc
 
     if cfg.enhance:
-        if cfg.enhancement_command is not None:
-            try:
-                img = enhance(img, list(cfg.enhancement_command), cfg.timeout)
-            except EnhancementError as exc:
-                log.warning("%s: external enhancement failed (%s); using built-in", source_id, exc)
-                img = enhance(img)
-        else:
+        try:
+            img = enhance(img, cfg.enhancement_command, cfg.timeout)
+        except EnhancementError as exc:
+            log.warning("%s: external enhancement failed (%s); using built-in", source_id, exc)
             img = enhance(img)
     if cfg.deskew:
         estimate = estimate_skew(img, cfg.deskew_range, cfg.deskew_step)
         if estimate.angle_degrees:
             img = rotate(img, estimate.angle_degrees)
-    if cfg.rotate_select:
-        angle, page = select_rotation(img, cfg, resources)
-        if angle:
-            img = rotate(img, angle)
-    else:
-        try:
-            page = recognize_page(cfg.machine_printed, img)
-        except RecognizerError as exc:
-            raise PageError(f"{source_id}: {exc}") from exc
+    angle, page = select_rotation(img, cfg, resources)
+    if angle:
+        img = rotate(img, angle)
     if not page.words:
         log.warning("page %s produced no word boxes", source_id)
 
@@ -324,6 +322,14 @@ class CorpusResult:
     report: EvaluationReport | None = None
 
 
+def write_page_outputs(record: PageRecord, out: Path) -> None:
+    """Write `<stem>.txt`, then the `<stem>.json` checkpoint that a resumed run
+    trusts, so that no checkpoint exists without its text."""
+    assert record.final is not None
+    (out / f"{record.source_id}.txt").write_text(record.final.to_text(), encoding="utf-8")
+    (out / f"{record.source_id}.json").write_text(record.to_json(), encoding="utf-8")
+
+
 def run_corpus(
     input_dir: str | Path,
     cfg: PipelineConfig,
@@ -332,8 +338,8 @@ def run_corpus(
     resume: bool = False,
 ) -> CorpusResult:
     """Transcribe every image in a directory, writing per-page text and JSON
-    checkpoints; with labels, also build the evaluation report."""
-    cfg.validate()
+    checkpoints; with labels, also build the evaluation report. On resume, a
+    readable checkpoint is trusted and an unreadable one is recomputed."""
     resources = load_resources(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -344,11 +350,12 @@ def run_corpus(
     def process(path: Path) -> PageRecord:
         record_path = out / f"{path.stem}.json"
         if resume and record_path.exists():
-            return PageRecord.from_json(record_path.read_text(encoding="utf-8"))
+            try:
+                return PageRecord.from_json(record_path.read_text(encoding="utf-8"))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                log.warning("%s: unreadable checkpoint (%s); transcribing again", path.stem, exc)
         record = transcribe_page(path, cfg, resources)
-        record_path.write_text(record.to_json(), encoding="utf-8")
-        assert record.final is not None
-        (out / f"{path.stem}.txt").write_text(record.final.to_text(), encoding="utf-8")
+        write_page_outputs(record, out)
         return record
 
     results: dict[str, PageRecord] = {}

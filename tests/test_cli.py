@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mixtext.cli import main
+from mixtext.cli import _build_parser, _load_config, main
 from mixtext.docmodel import PageRecord
 
 DICT_PATH = "tests/data/words_en.txt"
@@ -76,6 +76,18 @@ def test_missing_config_is_exit_2(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "absent.json"), "transcribe", "x.pgm"])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+    # a config file holding a malformed value is a config error too
+    path = tmp_path / "config.json"
+    for doc in (
+        {"rotation_candidates": ["x"]},
+        {"machine_printed": "tesseract"},
+        {"checker_chain": [{"dictionary": DICT_PATH}]},
+        {"parallelism": "four"},
+    ):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["--config", str(path), "transcribe", "x.pgm"])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_invalid_flag_value_is_exit_2(planted_config_file, capsys):
@@ -83,12 +95,33 @@ def test_invalid_flag_value_is_exit_2(planted_config_file, capsys):
         ["--config", str(planted_config_file), "transcribe", "x.pgm", "--nomination", "vote"]
     )
     assert code == 2
+    for flag, value in (("--rotation-candidates", "0,x"), ("--enhancement-command", "'unclosed")):
+        code = main(["--config", str(planted_config_file), "transcribe", "x.pgm", flag, value])
+        assert code == 2
 
 
 def test_bad_recognizer_json_flag_is_exit_2(capsys):
     code = main(["transcribe", "x.pgm", "--machine-printed", "{broken"])
     assert code == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_timeout_reaches_recognizers_without_their_own(tmp_path):
+    hand = {"kind": "handwritten", "backend": "external", "argv_template": ["hw", "{in}"]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"timeout": 7.0, "handwritten": hand}), encoding="utf-8")
+    machine = {"kind": "machine_printed", "backend": "external", "argv_template": ["ocr", "{in}"]}
+    own = {**machine, "timeout": 2.0}
+    for flags, machine_timeout, timeout in (
+        (["--machine-printed", json.dumps(machine)], 7.0, 7.0),
+        (["--machine-printed", json.dumps(machine), "--timeout", "5"], 5.0, 5.0),
+        (["--machine-printed", json.dumps(own), "--timeout", "5"], 2.0, 5.0),
+    ):
+        argv = ["--config", str(path), "transcribe", "x.pgm", *flags]
+        cfg = _load_config(_build_parser().parse_args(argv))
+        assert cfg.timeout == timeout
+        assert cfg.machine_printed.timeout == machine_timeout
+        assert cfg.handwritten.timeout == timeout
 
 
 def test_unreadable_image_is_exit_1(tmp_path, planted_config_file, capsys):

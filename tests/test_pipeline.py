@@ -1,9 +1,10 @@
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
-from mixtext.docmodel import UNK, flatten, options_size
+from mixtext.docmodel import UNK, Transcription, flatten, options_size
 from mixtext.imaging import enhance, rotate, save_pgm
 from mixtext.metrics import lev_accuracy, options_stats
 from mixtext.pipeline import (
@@ -78,11 +79,26 @@ def test_config_validation_errors():
         PipelineConfig(max_edit=5).validate()
     with pytest.raises(ConfigError):
         PipelineConfig(embedding_backend="bert").validate()
+    # the config validates itself, so a bad replace fails at once
+    valid_cfg = PipelineConfig()
+    with pytest.raises(ConfigError):
+        replace(valid_cfg, parallelism=0)
 
 
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         PipelineConfig.from_dict({"pad_pixel": 3})
+    # malformed values are config errors too, not raw exceptions
+    external = {"kind": "machine_printed", "backend": "external"}
+    for doc in (
+        {"rotation_candidates": ["x"]},
+        {"machine_printed": "tesseract"},
+        {"machine_printed": {**external, "argv_template": "tesseract {in} {out} hocr"}},
+        {"machine_printed": {**external, "argv_template": ["ocr", "{in}"], "timout": 5}},
+        {"checker_chain": [{"dictionary_path": DICT_PATH, "checker": "main"}]},
+    ):
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_dict(doc)
 
 
 def test_config_from_file(tmp_path):
@@ -463,6 +479,52 @@ def test_corpus_resume_reuses_checkpoints(tmp_path, planted):
     (out / f"{stem}.json").write_text(marked, encoding="utf-8")
     again = run_corpus(corpus.input_dir, corpus.config, out, corpus.labels_dir, resume=True)
     assert any(page.source_id == "marked" for page in again.pages)
+
+
+def test_corpus_text_written_before_checkpoint(tmp_path, planted, monkeypatch):
+    # a crash while writing the first page's text must not leave a checkpoint
+    # that a resumed run trusts without ever writing the text
+    corpus = planted
+    out = tmp_path / "out"
+    to_text = Transcription.to_text
+    crashes = [RuntimeError("crash while writing text")]
+
+    def crash_once(self):
+        try:
+            crash = crashes.pop()  # atomic, so only one worker thread crashes
+        except IndexError:
+            return to_text(self)
+        raise crash
+
+    monkeypatch.setattr(Transcription, "to_text", crash_once)
+    first = run_corpus(corpus.input_dir, corpus.config, out)
+    assert len(first.failures) == 1
+    again = run_corpus(corpus.input_dir, corpus.config, out, resume=True)
+    assert not again.failures
+    for record in again.pages:
+        text = (out / f"{record.source_id}.txt").read_text(encoding="utf-8")
+        assert text == record.final.to_text()
+
+
+def test_corpus_resume_recomputes_unreadable_checkpoints(tmp_path, planted):
+    corpus = planted
+    out = tmp_path / "out"
+    first = run_corpus(corpus.input_dir, corpus.config, out)
+    expected = {p.source_id: p.to_json() for p in first.pages}
+    truncated, missing_key, bad_box = sorted(expected)
+    text = expected[truncated]
+    (out / f"{truncated}.json").write_text(text[: len(text) // 2], encoding="utf-8")
+    doc = json.loads(expected[missing_key])
+    del doc["options"]
+    (out / f"{missing_key}.json").write_text(json.dumps(doc), encoding="utf-8")
+    doc = json.loads(expected[bad_box])
+    doc["word_boxes"][0]["bbox"] = [5, 5, 5, 5]  # InvariantError: degenerate box
+    (out / f"{bad_box}.json").write_text(json.dumps(doc), encoding="utf-8")
+    again = run_corpus(corpus.input_dir, corpus.config, out, resume=True)
+    assert not again.failures
+    assert {p.source_id: p.to_json() for p in again.pages} == expected
+    for stem, record_json in expected.items():
+        assert (out / f"{stem}.json").read_text(encoding="utf-8") == record_json
 
 
 def test_parallel_matches_serial(tmp_path, planted):
