@@ -2,7 +2,8 @@
 
 Subcommands: transcribe a single page, run a corpus, evaluate predictions
 against labels, build merged ground-truth labels, and summarize page
-records. Exit codes: 0 success, 1 partial page failures, 2 config error.
+records. Exit codes: 0 success, 1 partial page failures or unreadable page
+records, 2 config error.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .docmodel import PageRecord, Transcription, flatten, options_size
 from .metrics import EvalPair, build_report, options_stats
 from .mixed_labels import LabelFormatError, build_mixed_label, parse_iam_ascii
 from .pipeline import (
+    CHECKPOINT_ERRORS,
+    REPORT_STEM,
     ConfigError,
     PageError,
     PipelineConfig,
@@ -173,6 +176,8 @@ def _cmd_evaluate(args) -> int:
     label_dir = Path(args.label_dir)
     pairs = []
     for pred_path in sorted(Path(args.pred_dir).glob("*.txt")):
+        if pred_path.stem == REPORT_STEM:
+            continue
         label_path = label_dir / pred_path.name
         if not label_path.exists():
             log.warning("no label for %s; skipping", pred_path.stem)
@@ -215,10 +220,15 @@ def _cmd_build_labels(args) -> int:
 
 def _cmd_report(args) -> int:
     records = []
+    unreadable = 0
     for record_path in sorted(Path(args.records_dir).glob("*.json")):
-        if record_path.name == "report.json":
+        if record_path.stem == REPORT_STEM:
             continue
-        records.append(PageRecord.from_json(record_path.read_text(encoding="utf-8")))
+        try:
+            records.append(PageRecord.from_json(record_path.read_text(encoding="utf-8")))
+        except CHECKPOINT_ERRORS as exc:
+            print(f"{record_path}: not a page record ({type(exc).__name__}: {exc})", file=sys.stderr)
+            unreadable += 1
     frac1, frac3, frac4 = options_stats(records)
     sizes = Counter()
     for record in records:
@@ -233,7 +243,7 @@ def _cmd_report(args) -> int:
     flagged = [r.source_id for r in records if not r.word_boxes]
     if flagged:
         print("pages with no words: " + ", ".join(sorted(flagged)))
-    return 0
+    return 1 if unreadable else 0
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ enclosing `ocr_line` (in document order) to assign (line_index, word_index).
 from __future__ import annotations
 
 import xml.parsers.expat
+from contextlib import suppress
 from dataclasses import dataclass, field
+from xml.etree import ElementTree
 from xml.sax.saxutils import escape, quoteattr
 
 from .docmodel import WordBox
@@ -64,150 +66,101 @@ def parse_bbox_title(title: str) -> tuple[int, int, int, int]:
     return (x0, y0, x1, y1)
 
 
-class _HocrBuilder:
-    """Expat callback state: tracks open lines/words and collects word boxes.
+def parse_hocr(document: str) -> HocrPage:
+    """Parse hOCR markup into a page of word boxes, in one walk of its tree.
 
-    Words outside any ocr_line fall back to their enclosing ocr_par (each par
-    acts as one line), and failing that to a single page-level implicit line.
+    An `ocr_line` takes the next line index when it is reached. A word takes
+    its innermost line or, outside any line, the slot of its innermost
+    `ocr_par`, or else the page's one implicit slot; a slot takes the next
+    line index at its first word. Words with empty trimmed text are dropped;
+    words whose title lacks a bbox are skipped and tallied. The first
+    `ocr_page` with a bbox gives the page bbox, expanded to cover every word.
     """
+    try:
+        root = ElementTree.fromstring(document)
+    except ElementTree.ParseError as exc:
+        raise HocrParseError(str(exc), _error_offset(document)) from None
 
-    def __init__(self):
-        self.words: list[WordBox] = []
-        self.titles: list[dict[str, str]] = []
-        self.page_bbox: tuple[int, int, int, int] | None = None
-        self.skipped = 0
-        self.depth = 0
-        self.line_stack: list[tuple[int, int]] = []  # (element depth, line index)
-        self.par_stack: list[list] = []  # [element depth, lazily allocated index]
-        self.next_line_index = 0
-        self.word_counts: dict[int, int] = {}
-        self.implicit_line: int | None = None
-        self.word_depth = 0
-        self.word_chunks: list[str] = []
-        self.word_title = ""
-        self.word_line = 0
-
-    def start(self, name: str, attrs: dict[str, str]) -> None:
-        self.depth += 1
-        if self.word_depth:
-            self.word_depth += 1
-            return
-        classes = attrs.get("class", "").split()
-        if "ocr_page" in classes and self.page_bbox is None:
-            try:
-                self.page_bbox = parse_bbox_title(attrs.get("title", ""))
-            except NoBboxError:
-                pass
+    page_bbox: tuple[int, int, int, int] | None = None
+    words: list[WordBox] = []
+    titles: list[dict[str, str]] = []
+    skipped = 0
+    next_line = 0
+    word_counts: dict[int, int] = {}
+    # (element, innermost ocr_line index, innermost ocr_par slot); a slot is a
+    # one-item list holding its line index once its first word is reached
+    stack: list[tuple[ElementTree.Element, int | None, list]] = [(root, None, [None])]
+    while stack:
+        element, line, slot = stack.pop()
+        classes = element.get("class", "").split()
+        if "ocr_page" in classes and page_bbox is None:
+            with suppress(NoBboxError):
+                page_bbox = parse_bbox_title(element.get("title", ""))
         if "ocr_line" in classes:
-            self.line_stack.append((self.depth, self.next_line_index))
-            self.next_line_index += 1
+            line, next_line = next_line, next_line + 1
         elif "ocr_par" in classes:
-            self.par_stack.append([self.depth, None])
+            slot = [None]
         elif "ocrx_word" in classes:
-            self.word_depth = 1
-            self.word_chunks = []
-            self.word_title = attrs.get("title", "")
-            self.word_line = self._current_line()
-
-    def chars(self, data: str) -> None:
-        if self.word_depth:
-            self.word_chunks.append(data)
-
-    def end(self, name: str) -> None:
-        if self.word_depth:
-            self.word_depth -= 1
-            if self.word_depth == 0:
-                self._close_word()
-        elif self.line_stack and self.line_stack[-1][0] == self.depth:
-            self.line_stack.pop()
-        elif self.par_stack and self.par_stack[-1][0] == self.depth:
-            self.par_stack.pop()
-        self.depth -= 1
-
-    def _current_line(self) -> int:
-        if self.line_stack:
-            return self.line_stack[-1][1]
-        if self.par_stack:
-            par = self.par_stack[-1]
-            if par[1] is None:
-                par[1] = self.next_line_index
-                self.next_line_index += 1
-            return par[1]
-        if self.implicit_line is None:
-            self.implicit_line = self.next_line_index
-            self.next_line_index += 1
-        return self.implicit_line
-
-    def _close_word(self) -> None:
-        text = "".join(self.word_chunks).strip()
-        if not text:
-            return
-        try:
-            bbox = parse_bbox_title(self.word_title)
-        except NoBboxError:
-            self.skipped += 1
-            return
-        fields = parse_title_fields(self.word_title)
-        confidence = None
-        if "x_wconf" in fields:
+            if line is None:
+                if slot[0] is None:
+                    slot[0], next_line = next_line, next_line + 1
+                line = slot[0]
+            text = "".join(element.itertext()).strip()
+            if not text:
+                continue
+            title = element.get("title", "")
+            try:
+                bbox = parse_bbox_title(title)
+            except NoBboxError:
+                skipped += 1
+                continue
+            fields = parse_title_fields(title)
             try:
                 confidence = max(0.0, min(1.0, float(fields["x_wconf"]) / 100.0))
-            except ValueError:
+            except (KeyError, ValueError):
                 confidence = None
-        line = self.word_line
-        word_index = self.word_counts.get(line, 0)
-        self.word_counts[line] = word_index + 1
-        self.words.append(WordBox(text, bbox, line, word_index, confidence))
-        self.titles.append(fields)
+            word_index = word_counts.get(line, 0)
+            word_counts[line] = word_index + 1
+            words.append(WordBox(text, bbox, line, word_index, confidence))
+            titles.append(fields)
+            continue
+        stack.extend((child, line, slot) for child in reversed(element))
+
+    boxes = [wb.bbox for wb in words] + ([page_bbox] if page_bbox else [])
+    return HocrPage(_covering_box(boxes), words, titles, skipped)
 
 
-def parse_hocr(document: str) -> HocrPage:
-    """Parse hOCR markup into a page of word boxes.
+def _error_offset(document: str) -> int:
+    """Byte offset, never negative, of the first error that expat finds with
+    ElementTree's rules: namespaces are resolved, and an entity reference
+    that only an unread external DTD could define is an error."""
+    parser = xml.parsers.expat.ParserCreate(namespace_separator="}")
+    skipped: list[int] = []
 
-    Words with empty trimmed text are dropped; words whose title lacks a
-    bbox are skipped and tallied. The page bbox is taken from the first
-    `ocr_page` element and expanded to cover every word box.
-    """
-    builder = _HocrBuilder()
-    parser = xml.parsers.expat.ParserCreate()
-    parser.buffer_text = True
-    parser.StartElementHandler = builder.start
-    parser.EndElementHandler = builder.end
-    parser.CharacterDataHandler = builder.chars
+    def skipped_entity(_name: str, is_parameter: bool) -> None:
+        if not is_parameter:
+            skipped.append(parser.CurrentByteIndex)
+
+    parser.SkippedEntityHandler = skipped_entity
     try:
         parser.Parse(document, True)
-    except xml.parsers.expat.ExpatError as exc:
-        raise HocrParseError(str(exc), parser.ErrorByteIndex) from None
+    except xml.parsers.expat.ExpatError:
+        pass
+    return max(0, skipped[0] if skipped else parser.ErrorByteIndex)
 
-    page_bbox = builder.page_bbox
-    for wb in builder.words:
-        x0, y0, x1, y1 = wb.bbox
-        if page_bbox is None:
-            page_bbox = wb.bbox
-        else:
-            page_bbox = (
-                min(page_bbox[0], x0),
-                min(page_bbox[1], y0),
-                max(page_bbox[2], x1),
-                max(page_bbox[3], y1),
-            )
-    if page_bbox is None:
-        page_bbox = (0, 0, 1, 1)
-    return HocrPage(page_bbox, builder.words, builder.titles, builder.skipped)
+
+def _covering_box(boxes: list[tuple[int, int, int, int]]) -> tuple[int, int, int, int]:
+    """The smallest box holding every box; (0, 0, 1, 1) when there are none."""
+    if not boxes:
+        return (0, 0, 1, 1)
+    x0s, y0s, x1s, y1s = zip(*boxes)
+    return (min(x0s), min(y0s), max(x1s), max(y1s))
 
 
 def render_hocr(words: list[WordBox], page_bbox: tuple[int, int, int, int] | None = None) -> str:
     """Minimal hOCR skeleton for the given word boxes (tests and mocks)."""
     if page_bbox is None:
-        if words:
-            page_bbox = (
-                min(wb.bbox[0] for wb in words),
-                min(wb.bbox[1] for wb in words),
-                max(wb.bbox[2] for wb in words),
-                max(wb.bbox[3] for wb in words),
-            )
-        else:
-            page_bbox = (0, 0, 1, 1)
+        page_bbox = _covering_box([wb.bbox for wb in words])
     lines: dict[int, list[WordBox]] = {}
     for wb in words:
         lines.setdefault(wb.line_index, []).append(wb)

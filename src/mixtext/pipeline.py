@@ -39,12 +39,24 @@ from .hocr import HocrPage
 from .lexicon import Dictionary, SpellChecker, dictionary_score, load_dictionary, spell_chain
 from .metrics import EvalPair, EvaluationReport, build_report
 from .nomination import RULE, STRATEGIES, resolve_document
-from .recognizers import DEFAULT_TIMEOUT, RecognizerError, RecognizerSpec, recognize_page, recognize_word
+from .recognizers import (
+    DEFAULT_TIMEOUT,
+    HANDWRITTEN,
+    MACHINE_PRINTED,
+    RecognizerError,
+    RecognizerSpec,
+    recognize_page,
+    recognize_word,
+)
 
 log = logging.getLogger(__name__)
 
 CARDINAL_ANGLES = (0, 90, 180, 270)
 IMAGE_SUFFIXES = (".pgm", ".png")
+# the stem of the evaluation report in an output directory; no page may use it
+REPORT_STEM = "report"
+# what reading a truncated, foreign or invalid page-record checkpoint raises
+CHECKPOINT_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 
 
 class ConfigError(ValueError):
@@ -63,6 +75,14 @@ class CheckerConfig:
     frequency_path: str | None = None
     max_edit: int = 2
     checker_id: str = "builtin"
+
+    def __post_init__(self) -> None:
+        for name in ("dictionary_path", "frequency_path", "checker_id"):
+            value = getattr(self, name)
+            if not isinstance(value, str) and not (value is None and name == "frequency_path"):
+                raise ConfigError(f"checker {name} must be a string, got {value!r}")
+        if self.max_edit not in (1, 2):
+            raise ConfigError(f"checker max_edit must be 1 or 2, got {self.max_edit!r}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +139,9 @@ class PipelineConfig:
             raise ConfigError(f"timeout must be positive, got {self.timeout}")
         if self.max_edit not in (1, 2):
             raise ConfigError(f"max_edit must be 1 or 2, got {self.max_edit}")
+        for kind, spec in ((MACHINE_PRINTED, self.machine_printed), (HANDWRITTEN, self.handwritten)):
+            if spec is not None and spec.kind != kind:
+                raise ConfigError(f"the {kind} recognizer has kind {spec.kind!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -324,8 +347,11 @@ class CorpusResult:
 
 def write_page_outputs(record: PageRecord, out: Path) -> None:
     """Write `<stem>.txt`, then the `<stem>.json` checkpoint that a resumed run
-    trusts, so that no checkpoint exists without its text."""
+    trusts, so that no checkpoint exists without its text. The report's stem
+    is refused."""
     assert record.final is not None
+    if record.source_id == REPORT_STEM:
+        raise PageError(f"page name {REPORT_STEM!r} is reserved for the evaluation report")
     (out / f"{record.source_id}.txt").write_text(record.final.to_text(), encoding="utf-8")
     (out / f"{record.source_id}.json").write_text(record.to_json(), encoding="utf-8")
 
@@ -340,6 +366,8 @@ def run_corpus(
     """Transcribe every image in a directory, writing per-page text and JSON
     checkpoints; with labels, also build the evaluation report. On resume, a
     readable checkpoint is trusted and an unreadable one is recomputed."""
+    if cfg.machine_printed is None:
+        raise ConfigError("no machine_printed recognizer configured")
     resources = load_resources(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -352,7 +380,7 @@ def run_corpus(
         if resume and record_path.exists():
             try:
                 return PageRecord.from_json(record_path.read_text(encoding="utf-8"))
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            except CHECKPOINT_ERRORS as exc:
                 log.warning("%s: unreadable checkpoint (%s); transcribing again", path.stem, exc)
         record = transcribe_page(path, cfg, resources)
         write_page_outputs(record, out)
@@ -388,6 +416,6 @@ def run_corpus(
                 )
             )
         report = build_report(pairs, resources.model)
-        (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-        (out / "report.txt").write_text(report.render_text(), encoding="utf-8")
+        (out / f"{REPORT_STEM}.json").write_text(report.to_json(), encoding="utf-8")
+        (out / f"{REPORT_STEM}.txt").write_text(report.render_text(), encoding="utf-8")
     return CorpusResult(pages=list(results.values()), failures=failures, report=report)

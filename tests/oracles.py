@@ -4,8 +4,18 @@ paths. Tests compare package output against these.
 
 from __future__ import annotations
 
+import xml.parsers.expat
+
 import numpy as np
 
+from mixtext.docmodel import WordBox
+from mixtext.hocr import (
+    HocrPage,
+    HocrParseError,
+    NoBboxError,
+    parse_bbox_title,
+    parse_title_fields,
+)
 from mixtext.imaging import (
     BINARIZE_THRESHOLD,
     DEFAULT_DESKEW_RANGE,
@@ -132,3 +142,136 @@ def rotating_skew(
             best = key
             best_angle, best_score = angle, score
     return SkewEstimate(best_angle, best_score)
+
+
+class _HocrBuilder:
+    """Expat callback state: tracks open lines/words and collects word boxes.
+
+    Words outside any ocr_line fall back to their enclosing ocr_par (each par
+    acts as one line), and failing that to a single page-level implicit line.
+    """
+
+    def __init__(self):
+        self.words: list[WordBox] = []
+        self.titles: list[dict[str, str]] = []
+        self.page_bbox: tuple[int, int, int, int] | None = None
+        self.skipped = 0
+        self.depth = 0
+        self.line_stack: list[tuple[int, int]] = []  # (element depth, line index)
+        self.par_stack: list[list] = []  # [element depth, lazily allocated index]
+        self.next_line_index = 0
+        self.word_counts: dict[int, int] = {}
+        self.implicit_line: int | None = None
+        self.word_depth = 0
+        self.word_chunks: list[str] = []
+        self.word_title = ""
+        self.word_line = 0
+
+    def start(self, name: str, attrs: dict[str, str]) -> None:
+        self.depth += 1
+        if self.word_depth:
+            self.word_depth += 1
+            return
+        classes = attrs.get("class", "").split()
+        if "ocr_page" in classes and self.page_bbox is None:
+            try:
+                self.page_bbox = parse_bbox_title(attrs.get("title", ""))
+            except NoBboxError:
+                pass
+        if "ocr_line" in classes:
+            self.line_stack.append((self.depth, self.next_line_index))
+            self.next_line_index += 1
+        elif "ocr_par" in classes:
+            self.par_stack.append([self.depth, None])
+        elif "ocrx_word" in classes:
+            self.word_depth = 1
+            self.word_chunks = []
+            self.word_title = attrs.get("title", "")
+            self.word_line = self._current_line()
+
+    def chars(self, data: str) -> None:
+        if self.word_depth:
+            self.word_chunks.append(data)
+
+    def end(self, name: str) -> None:
+        if self.word_depth:
+            self.word_depth -= 1
+            if self.word_depth == 0:
+                self._close_word()
+        elif self.line_stack and self.line_stack[-1][0] == self.depth:
+            self.line_stack.pop()
+        elif self.par_stack and self.par_stack[-1][0] == self.depth:
+            self.par_stack.pop()
+        self.depth -= 1
+
+    def _current_line(self) -> int:
+        if self.line_stack:
+            return self.line_stack[-1][1]
+        if self.par_stack:
+            par = self.par_stack[-1]
+            if par[1] is None:
+                par[1] = self.next_line_index
+                self.next_line_index += 1
+            return par[1]
+        if self.implicit_line is None:
+            self.implicit_line = self.next_line_index
+            self.next_line_index += 1
+        return self.implicit_line
+
+    def _close_word(self) -> None:
+        text = "".join(self.word_chunks).strip()
+        if not text:
+            return
+        try:
+            bbox = parse_bbox_title(self.word_title)
+        except NoBboxError:
+            self.skipped += 1
+            return
+        fields = parse_title_fields(self.word_title)
+        confidence = None
+        if "x_wconf" in fields:
+            try:
+                confidence = max(0.0, min(1.0, float(fields["x_wconf"]) / 100.0))
+            except ValueError:
+                confidence = None
+        line = self.word_line
+        word_index = self.word_counts.get(line, 0)
+        self.word_counts[line] = word_index + 1
+        self.words.append(WordBox(text, bbox, line, word_index, confidence))
+        self.titles.append(fields)
+
+
+def expat_parse_hocr(document: str) -> HocrPage:
+    """Parse hOCR markup into a page of word boxes, event by event through
+    expat callbacks (the parser `mixtext.hocr.parse_hocr` replaced).
+
+    Words with empty trimmed text are dropped; words whose title lacks a
+    bbox are skipped and tallied. The page bbox is taken from the first
+    `ocr_page` element and expanded to cover every word box.
+    """
+    builder = _HocrBuilder()
+    parser = xml.parsers.expat.ParserCreate()
+    parser.buffer_text = True
+    parser.StartElementHandler = builder.start
+    parser.EndElementHandler = builder.end
+    parser.CharacterDataHandler = builder.chars
+    try:
+        parser.Parse(document, True)
+    except xml.parsers.expat.ExpatError as exc:
+        raise HocrParseError(str(exc), parser.ErrorByteIndex) from None
+
+    page_bbox = builder.page_bbox
+    for wb in builder.words:
+        x0, y0, x1, y1 = wb.bbox
+        if page_bbox is None:
+            page_bbox = wb.bbox
+        else:
+            page_bbox = (
+                min(page_bbox[0], x0),
+                min(page_bbox[1], y0),
+                max(page_bbox[2], x1),
+                max(page_bbox[3], y1),
+            )
+    if page_bbox is None:
+        page_bbox = (0, 0, 1, 1)
+    return HocrPage(page_bbox, builder.words, builder.titles, builder.skipped)

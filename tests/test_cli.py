@@ -78,11 +78,19 @@ def test_missing_config_is_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     # a config file holding a malformed value is a config error too
     path = tmp_path / "config.json"
+    machine = {"machine_printed": {"kind": "machine_printed", "backend": "mock", "mock_script": {}}}
     for doc in (
         {"rotation_candidates": ["x"]},
         {"machine_printed": "tesseract"},
         {"checker_chain": [{"dictionary": DICT_PATH}]},
         {"parallelism": "four"},
+        {**machine, "dictionary_path": 5},
+        {**machine, "checker_chain": [{"dictionary_path": 5}]},
+        {**machine, "checker_chain": [{"dictionary_path": DICT_PATH, "max_edit": 7}]},
+        {
+            "machine_printed": {"kind": "handwritten", "backend": "mock", "mock_script": {}},
+            "dictionary_path": DICT_PATH,
+        },
     ):
         path.write_text(json.dumps(doc), encoding="utf-8")
         code = main(["--config", str(path), "transcribe", "x.pgm"])
@@ -122,6 +130,16 @@ def test_timeout_reaches_recognizers_without_their_own(tmp_path):
         assert cfg.timeout == timeout
         assert cfg.machine_printed.timeout == machine_timeout
         assert cfg.handwritten.timeout == timeout
+
+
+def test_run_without_machine_recognizer_is_exit_2(tmp_path, planted, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dictionary_path": DICT_PATH}), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code = main(["--config", str(path), "run", str(planted.input_dir), "--out", str(out_dir)])
+    assert code == 2
+    assert "no machine_printed recognizer" in capsys.readouterr().err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 def test_unreadable_image_is_exit_1(tmp_path, planted_config_file, capsys):
@@ -196,6 +214,19 @@ def test_evaluate_cli(tmp_path, capsys):
     assert report["per_doc"]["doc"]["lev_accuracy"] == 1.0
 
 
+def test_evaluate_skips_the_report(tmp_path, capsys):
+    # a run's output directory holds report.txt next to the page texts
+    pred = tmp_path / "pred"
+    label = tmp_path / "label"
+    pred.mkdir()
+    label.mkdir()
+    for directory in (pred, label):
+        (directory / "doc.txt").write_text("a move to stop\n", encoding="utf-8")
+        (directory / "report.txt").write_text("Documents evaluated: 1\n", encoding="utf-8")
+    assert main(["evaluate", str(pred), str(label)]) == 0
+    assert "Documents evaluated: 1" in capsys.readouterr().out
+
+
 def test_build_labels_cli(tmp_path, data_dir, capsys):
     forms = tmp_path / "forms"
     forms.mkdir()
@@ -239,6 +270,17 @@ def test_report_cli(tmp_path, planted, planted_config_file, capsys):
     assert "pages: 3" in out
     assert "words: 100" in out
     assert "(65.0%)" in out and "(16.0%)" in out and "(19.0%)" in out
+    # a cut-off checkpoint and a JSON file that is no page record are named,
+    # the readable records still summarized, and the exit code is 1
+    record_text = next(p for p in sorted(out_dir.glob("*.json")) if p.stem != "report").read_text()
+    (out_dir / "cut.json").write_text(record_text[: len(record_text) // 2], encoding="utf-8")
+    assert main(["evaluate", str(out_dir), str(out_dir), "--out", str(out_dir / "eval.json")]) == 0
+    capsys.readouterr()
+    code = main(["report", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "pages: 3" in captured.out and "words: 100" in captured.out
+    assert "cut.json" in captured.err and "eval.json" in captured.err
 
 
 def test_flag_overrides_config(tmp_path, planted, planted_config_file):

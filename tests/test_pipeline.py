@@ -96,6 +96,12 @@ def test_config_rejects_unknown_keys():
         {"machine_printed": {**external, "argv_template": "tesseract {in} {out} hocr"}},
         {"machine_printed": {**external, "argv_template": ["ocr", "{in}"], "timout": 5}},
         {"checker_chain": [{"dictionary_path": DICT_PATH, "checker": "main"}]},
+        {"checker_chain": [{"dictionary_path": DICT_PATH, "max_edit": 7}]},
+        {"checker_chain": [{"dictionary_path": 5}]},
+        {"checker_chain": [{"dictionary_path": DICT_PATH, "frequency_path": 5}]},
+        {"checker_chain": [{"dictionary_path": DICT_PATH, "checker_id": 3}]},
+        {"machine_printed": {"kind": "handwritten", "backend": "mock", "mock_script": {}}},
+        {"handwritten": {"kind": "machine_printed", "backend": "mock", "mock_script": {}}},
     ):
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict(doc)
@@ -449,6 +455,22 @@ def test_corpus_collects_page_failures(tmp_path, planted):
     result = run_corpus(input_copy, planted.config, tmp_path / "out", planted.labels_dir)
     assert set(result.failures) == {"broken"}
     assert len(result.pages) == 3
+
+
+def test_page_named_like_the_report_is_refused(tmp_path, planted):
+    # the evaluation report owns report.txt/report.json: a page of that name
+    # fails, naming the reserved stem, instead of losing its outputs
+    import shutil
+
+    input_copy = tmp_path / "input"
+    shutil.copytree(planted.input_dir, input_copy)
+    (input_copy / f"{sorted(planted.truths)[0]}.pgm").rename(input_copy / "report.pgm")
+    out = tmp_path / "out"
+    result = run_corpus(input_copy, planted.config, out, planted.labels_dir)
+    assert set(result.failures) == {"report"}
+    assert "'report' is reserved" in result.failures["report"]
+    assert len(result.pages) == 2 and result.report.document_count() == 2
+    assert (out / "report.json").read_text(encoding="utf-8") == result.report.to_json()
 
 
 def test_corpus_without_labels_has_no_report(tmp_path, planted):

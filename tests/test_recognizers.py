@@ -162,10 +162,11 @@ def test_external_nonzero_exit():
 
 
 def test_external_missing_output_file():
-    # exit 0 but no usable {out}.hocr: none at all, not UTF-8, cut off mid-tag
+    # exit 0 but no usable {out}.hocr: none at all, empty, not UTF-8, cut off mid-tag
     write = "import sys; open(sys.argv[2] + '.hocr', 'wb').write({!r})"
     for script in (
         "pass",
+        write.format(b""),
         write.format(b"<html><body>\xff\xfe</body></html>"),
         write.format(b"<html><body><span class='ocr_line'><span class='ocrx_word' title='bbox 0 0 1"),
     ):
