@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 # Sentinel emitted by spell checking when no correction exists. Tokenization
 # strips angle brackets, so no real token can collide with it.
@@ -25,6 +25,7 @@ class WordBox:
     confidence: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "bbox", tuple(self.bbox))
         x0, y0, x1, y1 = self.bbox
         if not (x0 < x1 and y0 < y1):
             raise InvariantError(f"degenerate bbox {self.bbox!r}")
@@ -165,61 +166,22 @@ class PageRecord:
             )
 
     def to_json(self) -> str:
-        doc = {
-            "source_id": self.source_id,
-            "image_path": self.image_path,
-            "word_boxes": [
-                {
-                    "text": wb.text,
-                    "bbox": list(wb.bbox),
-                    "line_index": wb.line_index,
-                    "word_index": wb.word_index,
-                    "confidence": wb.confidence,
-                }
-                for wb in self.word_boxes
-            ],
-            "options": {
-                f"{li},{wi}": {"a": o.a, "b": o.b, "c": o.c, "d": o.d}
-                for (li, wi), o in sorted(self.options.items())
-            },
-            "final": None
-            if self.final is None
-            else {
-                "source_id": self.final.source_id,
-                "lines": [list(line) for line in self.final.lines],
-            },
-        }
+        """The checkpoint: the dataclass fields, options keyed `"line,word"`."""
+        doc = asdict(self)
+        doc["options"] = {f"{li},{wi}": o for (li, wi), o in sorted(doc["options"].items())}
         return json.dumps(doc, ensure_ascii=False, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "PageRecord":
+        """Inverse of to_json; a key that names no field raises TypeError."""
         doc = json.loads(text)
-        boxes = tuple(
-            WordBox(
-                text=w["text"],
-                bbox=tuple(w["bbox"]),
-                line_index=w["line_index"],
-                word_index=w["word_index"],
-                confidence=w.get("confidence"),
-            )
-            for w in doc["word_boxes"]
-        )
-        options = {}
-        for key, o in doc["options"].items():
-            li, wi = key.split(",")
-            options[(int(li), int(wi))] = OptionsList(
-                a=o["a"], b=o.get("b"), c=o.get("c"), d=o.get("d")
-            )
-        final = None
-        if doc.get("final") is not None:
-            final = Transcription(
-                tuple(tuple(line) for line in doc["final"]["lines"]),
-                doc["final"].get("source_id", ""),
-            )
-        return cls(
-            source_id=doc["source_id"],
-            image_path=doc["image_path"],
-            word_boxes=boxes,
-            options=options,
-            final=final,
-        )
+        final = doc.get("final")
+        return cls(**{
+            **doc,
+            "word_boxes": [WordBox(**w) for w in doc["word_boxes"]],
+            "options": {
+                tuple(map(int, key.split(","))): OptionsList(**o)
+                for key, o in doc["options"].items()
+            },
+            "final": None if final is None else Transcription(**final),
+        })

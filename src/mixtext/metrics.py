@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .docmodel import options_size
 from .embeddings import EmbeddingModel, cosine, embed_document
@@ -89,6 +89,10 @@ class DocScores:
     f_score: float
     options_histogram: dict[int, int] = field(default_factory=dict)
 
+    def __post_init__(self):
+        # kept in size order, so that the report lists it that way
+        object.__setattr__(self, "options_histogram", dict(sorted(self.options_histogram.items())))
+
     def scalar(self, name: str) -> float:
         return getattr(self, name)
 
@@ -115,7 +119,7 @@ def score_document(pred_words, target_words, model: EmbeddingModel,
         precision=precision,
         recall=recall,
         f_score=f_score,
-        options_histogram=dict(options_histogram or {}),
+        options_histogram=options_histogram or {},
     )
 
 
@@ -141,18 +145,10 @@ class EvaluationReport:
         return len(self.per_doc)
 
     def to_json(self) -> str:
-        doc = {
-            "per_doc": {
-                source_id: {
-                    **{name: scores.scalar(name) for name in SCALAR_FIELDS},
-                    "options_histogram": {str(k): v for k, v in sorted(scores.options_histogram.items())},
-                }
-                for source_id, scores in sorted(self.per_doc.items())
-            },
-            "corpus": self.corpus,
-            "options_totals": {str(k): v for k, v in sorted(self.options_totals.items())},
-            "accuracy_histogram": self.accuracy_histogram,
-        }
+        """The report's dataclass fields, documents and option sizes in key order."""
+        doc = asdict(self)
+        doc["per_doc"] = dict(sorted(doc["per_doc"].items()))
+        doc["options_totals"] = dict(sorted(doc["options_totals"].items()))
         return json.dumps(doc, ensure_ascii=False, indent=2)
 
     def render_text(self) -> str:

@@ -126,6 +126,8 @@ class PipelineConfig:
             raise ConfigError(f"unknown nomination strategy {self.nomination!r}")
         if self.embedding_backend not in (BACKEND_FILE, BACKEND_HASH):
             raise ConfigError(f"unknown embedding backend {self.embedding_backend!r}")
+        if self.embedding_backend == BACKEND_FILE and not self.embedding_path:
+            raise ConfigError("embedding_backend 'file' needs embedding_path")
         if self.pad_pixels < 0:
             raise ConfigError(f"pad_pixels must be non-negative, got {self.pad_pixels}")
         if not 0 < self.deskew_step <= self.deskew_range <= 45:
@@ -213,8 +215,6 @@ class Resources:
 
 def embedding_model_from_config(cfg: PipelineConfig) -> EmbeddingModel:
     if cfg.embedding_backend == BACKEND_FILE:
-        if not cfg.embedding_path:
-            raise ConfigError("embedding_backend 'file' needs embedding_path")
         return load_model(cfg.embedding_path)
     return hash_model(cfg.embedding_dim)
 
@@ -239,11 +239,11 @@ def load_resources(cfg: PipelineConfig) -> Resources:
 
 def select_rotation(
     img: RasterImage, cfg: PipelineConfig, resources: Resources
-) -> tuple[int, HocrPage]:
+) -> tuple[int, RasterImage, HocrPage]:
     """Recognize every candidate cardinal rotation (only 0 when rotation
-    selection is off) and keep the one whose words score best against the
-    dictionary; ties go to the smaller angle."""
-    best: tuple[float, int, HocrPage] | None = None
+    selection is off) and return the angle, rotated image and page whose words
+    score best against the dictionary; ties go to the smaller angle."""
+    best: tuple[float, int, RasterImage, HocrPage] | None = None
     errors: list[str] = []
     candidates = cfg.rotation_candidates if cfg.rotate_select else (0,)
     for angle in sorted(set(candidates)):
@@ -255,10 +255,10 @@ def select_rotation(
             continue
         score = dictionary_score([wb.text for wb in page.words], resources.dictionary)
         if best is None or score > best[0]:
-            best = (score, angle, page)
+            best = (score, angle, candidate, page)
     if best is None:
         raise PageError("recognition failed at every rotation: " + "; ".join(errors))
-    return best[1], best[2]
+    return best[1:]
 
 
 def transcribe_page(
@@ -289,9 +289,7 @@ def transcribe_page(
         estimate = estimate_skew(img, cfg.deskew_range, cfg.deskew_step)
         if estimate.angle_degrees:
             img = rotate(img, estimate.angle_degrees)
-    angle, page = select_rotation(img, cfg, resources)
-    if angle:
-        img = rotate(img, angle)
+    _, img, page = select_rotation(img, cfg, resources)
     if not page.words:
         log.warning("page %s produced no word boxes", source_id)
 
@@ -350,10 +348,14 @@ def write_page_outputs(record: PageRecord, out: Path) -> None:
     trusts, so that no checkpoint exists without its text. The report's stem
     is refused."""
     assert record.final is not None
-    if record.source_id == REPORT_STEM:
-        raise PageError(f"page name {REPORT_STEM!r} is reserved for the evaluation report")
+    _refuse_reserved_stem(record.source_id)
     (out / f"{record.source_id}.txt").write_text(record.final.to_text(), encoding="utf-8")
     (out / f"{record.source_id}.json").write_text(record.to_json(), encoding="utf-8")
+
+
+def _refuse_reserved_stem(stem: str) -> None:
+    if stem == REPORT_STEM:
+        raise PageError(f"page name {REPORT_STEM!r} is reserved for the evaluation report")
 
 
 def run_corpus(
@@ -376,6 +378,7 @@ def run_corpus(
     )
 
     def process(path: Path) -> PageRecord:
+        _refuse_reserved_stem(path.stem)  # before its checkpoint or any engine call
         record_path = out / f"{path.stem}.json"
         if resume and record_path.exists():
             try:

@@ -87,6 +87,7 @@ def test_missing_config_is_exit_2(tmp_path, capsys):
         {**machine, "dictionary_path": 5},
         {**machine, "checker_chain": [{"dictionary_path": 5}]},
         {**machine, "checker_chain": [{"dictionary_path": DICT_PATH, "max_edit": 7}]},
+        {**machine, "dictionary_path": DICT_PATH, "embedding_backend": "file"},
         {
             "machine_printed": {"kind": "handwritten", "backend": "mock", "mock_script": {}},
             "dictionary_path": DICT_PATH,
@@ -130,6 +131,16 @@ def test_timeout_reaches_recognizers_without_their_own(tmp_path):
         assert cfg.timeout == timeout
         assert cfg.machine_printed.timeout == machine_timeout
         assert cfg.handwritten.timeout == timeout
+
+
+def test_no_flags_switch_their_stage_off(monkeypatch):
+    monkeypatch.delenv("TMIXT_CONFIG", raising=False)
+    stages = ("enhance", "deskew", "rotate_select")
+    for flag, off in zip(("--no-enhance", "--no-deskew", "--no-rotate"), stages, strict=True):
+        cfg = _load_config(_build_parser().parse_args(["transcribe", "x.pgm", flag]))
+        assert {stage: getattr(cfg, stage) for stage in stages} == {
+            stage: stage != off for stage in stages
+        }
 
 
 def test_run_without_machine_recognizer_is_exit_2(tmp_path, planted, capsys):
@@ -225,6 +236,53 @@ def test_evaluate_skips_the_report(tmp_path, capsys):
         (directory / "report.txt").write_text("Documents evaluated: 1\n", encoding="utf-8")
     assert main(["evaluate", str(pred), str(label)]) == 0
     assert "Documents evaluated: 1" in capsys.readouterr().out
+
+
+def test_pages_without_a_label_are_skipped(tmp_path, planted, planted_config_file, caplog, capsys):
+    import shutil
+
+    labels = tmp_path / "labels"
+    shutil.copytree(planted.labels_dir, labels)
+    unlabelled, *labelled = sorted(planted.truths)
+    (labels / f"{unlabelled}.txt").unlink()
+    out = tmp_path / "out"
+    argv = ["--config", str(planted_config_file), "run", str(planted.input_dir), "--out", str(out)]
+    assert main([*argv, "--labels", str(labels)]) == 0
+    assert "pages: 3 ok, 0 failed" in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert sorted(report["per_doc"]) == labelled
+    # evaluate skips the same page of the run's output
+    eval_path = tmp_path / "eval.json"
+    assert main(["evaluate", str(out), str(labels), "--out", str(eval_path)]) == 0
+    assert "Documents evaluated: 2" in capsys.readouterr().out
+    evaluated = json.loads(eval_path.read_text(encoding="utf-8"))
+    assert evaluated["corpus"] == report["corpus"]  # the same two documents, scored alike
+    assert caplog.text.count(unlabelled) == 2
+
+
+def test_evaluate_with_a_vector_file(tmp_path, capsys):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("move 1 0\nstop 0 1\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"embedding_backend": "file", "embedding_path": str(vectors)}), encoding="utf-8"
+    )
+    pred = tmp_path / "pred"
+    label = tmp_path / "label"
+    for directory, swapped in ((pred, "move"), (label, "stop")):
+        directory.mkdir()
+        (directory / "same.txt").write_text("move stop\n", encoding="utf-8")
+        (directory / "swapped.txt").write_text(f"{swapped}\n", encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    code = main(["--config", str(config), "evaluate", str(pred), str(label), "--out", str(report_path)])
+    assert code == 0
+    per_doc = json.loads(report_path.read_text(encoding="utf-8"))["per_doc"]
+    assert per_doc["same"]["doc_similarity"] == pytest.approx(1.0)
+    assert per_doc["swapped"]["doc_similarity"] == 0.0  # orthogonal vectors
+    # the file backend without a vector file is refused before any scoring
+    config.write_text(json.dumps({"embedding_backend": "file"}), encoding="utf-8")
+    assert main(["--config", str(config), "evaluate", str(pred), str(label)]) == 2
+    assert "embedding_path" in capsys.readouterr().err
 
 
 def test_build_labels_cli(tmp_path, data_dir, capsys):

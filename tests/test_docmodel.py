@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -162,3 +165,66 @@ def test_page_record_json_round_trip():
         final=Transcription((("A", "move"),), "p"),
     )
     assert PageRecord.from_json(record.to_json()) == record
+
+
+def _field_names(cls) -> list[str]:
+    return [f.name for f in fields(cls)]
+
+
+def _mixed_record() -> PageRecord:
+    return PageRecord(
+        source_id="p",
+        image_path="in/p.pgm",
+        word_boxes=(WordBox("A", (0, 0, 10, 10), 0, 0, 91.5), WordBox("m0vé", (12, 0, 30, 10), 0, 1)),
+        options={
+            (0, 1): OptionsList(a="m0vé", b=UNK, c="move", d="move"),
+            (0, 0): OptionsList(a="A", b="A"),
+        },
+        final=Transcription((("A", "move"),), "p"),
+    )
+
+
+def test_checkpoint_keys_are_the_dataclass_fields():
+    doc = json.loads(_mixed_record().to_json())
+    assert list(doc) == _field_names(PageRecord)
+    assert [list(w) for w in doc["word_boxes"]] == [_field_names(WordBox)] * 2
+    assert list(doc["options"]) == ["0,0", "0,1"]  # "line,word", in position order
+    assert [list(o) for o in doc["options"].values()] == [_field_names(OptionsList)] * 2
+    assert list(doc["final"]) == _field_names(Transcription)
+
+
+def test_checkpoint_in_the_earlier_layout_loads():
+    # written field by field, `final` with source_id first; a checkpoint
+    # whose word box lacks `confidence` takes the dataclass default
+    box = {"text": "A", "bbox": [0, 0, 10, 10], "line_index": 0, "word_index": 0}
+    doc = {
+        "source_id": "p",
+        "image_path": "in/p.pgm",
+        "word_boxes": [
+            {**box, "confidence": 91.5},
+            {"text": "m0vé", "bbox": [12, 0, 30, 10], "line_index": 0, "word_index": 1},
+        ],
+        "options": {
+            "0,0": {"a": "A", "b": "A", "c": None, "d": None},
+            "0,1": {"a": "m0vé", "b": UNK, "c": "move", "d": "move"},
+        },
+        "final": {"source_id": "p", "lines": [["A", "move"]]},
+    }
+    text = json.dumps(doc, ensure_ascii=False, indent=2)
+    assert PageRecord.from_json(text) == _mixed_record()
+    doc["final"] = None
+    assert PageRecord.from_json(json.dumps(doc)).final is None
+
+
+@pytest.mark.parametrize("where", ["top", "word_box", "options", "final"])
+def test_checkpoint_with_an_unknown_key_is_refused(where):
+    doc = json.loads(_mixed_record().to_json())
+    target = {
+        "top": doc,
+        "word_box": doc["word_boxes"][1],
+        "options": doc["options"]["0,1"],
+        "final": doc["final"],
+    }[where]
+    target["trace"] = {}
+    with pytest.raises(TypeError):
+        PageRecord.from_json(json.dumps(doc))

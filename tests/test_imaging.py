@@ -181,6 +181,38 @@ def test_png_rejects_16_bit(tmp_path):
         load_image(path)
 
 
+def test_malformed_images_are_format_errors(tmp_path):
+    def png(*chunks):
+        return b"\x89PNG\r\n\x1a\n" + b"".join(
+            struct.pack(">I", len(body)) + ctype + body + struct.pack(">I", zlib.crc32(ctype + body))
+            for ctype, body in chunks
+        )
+
+    ihdr = (b"IHDR", struct.pack(">IIBBBBB", 3, 2, 8, 0, 0, 0, 0))
+    iend = (b"IEND", b"")
+    valid = png(ihdr, (b"IDAT", zlib.compress(bytes(2 * (1 + 3)))), iend)
+    path = tmp_path / "img"
+    path.write_bytes(valid)
+    assert load_image(path) == RasterImage(3, 2, bytes(6))
+    cases = {
+        "PGM header cut short": b"P5\n4 4",
+        "PGM header token not a number": b"P5\n4 x 255\n" + bytes(16),
+        "PGM without pixels across": b"P5\n0 4 255\n",
+        "PGM maxval above 255": b"P5\n2 2 300\n" + bytes(8),
+        "PNG chunk cut short": valid[: -len(iend[1]) - 12 - 4 - 2],
+        "PNG without IDAT": png(ihdr, iend),
+        "PNG without IHDR": png((b"IDAT", zlib.compress(bytes(8))), iend),
+        "PNG deflate stream corrupt": png(ihdr, (b"IDAT", b"not a deflate stream"), iend),
+        "PNG pixel data too short": png(ihdr, (b"IDAT", zlib.compress(bytes(7))), iend),
+        "PNG pixel data too long": png(ihdr, (b"IDAT", zlib.compress(bytes(9))), iend),
+        "PNG filter type 5": encode_png(np.zeros((2, 3), dtype=np.uint8), 0, row_filters=[0, 5]),
+    }
+    for name, data in cases.items():
+        path.write_bytes(data)
+        with pytest.raises(ImageFormatError):
+            load_image(path)
+
+
 # --- enhance ----------------------------------------------------------------
 
 

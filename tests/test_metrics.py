@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from mixtext.docmodel import OptionsList, PageRecord, WordBox
 from mixtext.embeddings import EmbeddingModel, hash_model
 from mixtext.metrics import (
+    DocScores,
     EvalPair,
+    EvaluationReport,
     bow_prf,
     build_report,
     doc_similarity,
@@ -233,6 +235,34 @@ def test_report_serialization(model):
     text = report.render_text()
     assert "Levenshtein accuracy" in text
     assert "[90%, 100%]" in text
+
+
+def test_report_json_layout():
+    # documents, histograms and totals in key order, whatever order they were
+    # built in; scores in field order; size keys as strings
+    report = EvaluationReport(
+        per_doc={
+            "b": DocScores(0.5, 0.25, 1.0, 0.75, 0.8, {4: 1, 1: 2}),
+            "ä": DocScores(1.0, 1.0, 1.0, 1.0, 1.0, {3: 1, 1: 5}),
+        },
+        corpus={"lev_accuracy": 0.75, "doc_similarity": 0.625, "precision": 1.0, "recall": 0.875},
+        options_totals={4: 1, 1: 7, 3: 1},
+        accuracy_histogram={"lev_accuracy": [0] * 9 + [2], "doc_similarity": [1] + [0] * 8 + [1]},
+    )
+    scores = ("lev_accuracy", "doc_similarity", "precision", "recall", "f_score")
+    expected = {
+        "per_doc": {
+            "b": {
+                **dict(zip(scores, (0.5, 0.25, 1.0, 0.75, 0.8))),
+                "options_histogram": {"1": 2, "4": 1},
+            },
+            "ä": {**dict.fromkeys(scores, 1.0), "options_histogram": {"1": 5, "3": 1}},
+        },
+        "corpus": {"lev_accuracy": 0.75, "doc_similarity": 0.625, "precision": 1.0, "recall": 0.875},
+        "options_totals": {"1": 7, "3": 1, "4": 1},
+        "accuracy_histogram": {"lev_accuracy": [0] * 9 + [2], "doc_similarity": [1] + [0] * 8 + [1]},
+    }
+    assert report.to_json() == json.dumps(expected, ensure_ascii=False, indent=2)
 
 
 def test_score_document_space_joined():

@@ -17,7 +17,7 @@ from mixtext.pipeline import (
     select_rotation,
     transcribe_page,
 )
-from mixtext.recognizers import EXTERNAL, MACHINE_PRINTED, RecognizerSpec
+from mixtext.recognizers import EXTERNAL, HANDWRITTEN, MACHINE_PRINTED, RecognizerSpec
 
 from synth import (
     deskew_scenario,
@@ -79,6 +79,8 @@ def test_config_validation_errors():
         PipelineConfig(max_edit=5).validate()
     with pytest.raises(ConfigError):
         PipelineConfig(embedding_backend="bert").validate()
+    with pytest.raises(ConfigError):
+        PipelineConfig(embedding_backend="file")  # without an embedding_path
     # the config validates itself, so a bad replace fails at once
     valid_cfg = PipelineConfig()
     with pytest.raises(ConfigError):
@@ -102,6 +104,7 @@ def test_config_rejects_unknown_keys():
         {"checker_chain": [{"dictionary_path": DICT_PATH, "checker_id": 3}]},
         {"machine_printed": {"kind": "handwritten", "backend": "mock", "mock_script": {}}},
         {"handwritten": {"kind": "machine_printed", "backend": "mock", "mock_script": {}}},
+        {"embedding_backend": "file"},
     ):
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict(doc)
@@ -211,16 +214,33 @@ def test_handwriting_failing_spell_check(tmp_path):
     assert flatten(record.final) == ["a", "move"]
 
 
+def external_hand(program: str) -> RecognizerSpec:
+    argv_template = (sys.executable, "-c", program, "{in}", "{out}")
+    return RecognizerSpec(kind=HANDWRITTEN, backend=EXTERNAL, argv_template=argv_template)
+
+
 def test_handwriting_miss_degrades_to_unk_pair(tmp_path):
     lines = [["a", "qzqzq"]]
     img, boxes, path = make_page(tmp_path, lines)
-    cfg = base_config(machine_mock(script_page(img, boxes)), handwriting_mock({}))
-    record = transcribe_page(path, cfg)
-    options = record.options[(0, 1)]
-    assert (options.c, options.d) == (UNK, UNK)
-    assert options_size(options) == 4
-    # rule fallback: D is UNK, B is UNK (garble uncorrectable), so A stays
-    assert flatten(record.final) == ["a", "qzqzq"]
+    page = script_page(img, boxes)
+    # the gated word's box reaches past the right edge, so it cannot be cropped
+    x0, y0, _, y1 = boxes[1].bbox
+    past_edge = script_page(img, [boxes[0], replace(boxes[1], bbox=(x0, y0, img.width + 40, y1))])
+    unused = CountingScript()
+    for machine_script, hand in (
+        (page, handwriting_mock({})),  # no scripted output for the crop
+        (page, external_hand("import os, signal; os.kill(os.getpid(), signal.SIGKILL)")),
+        (page, external_hand("print('move'); raise SystemExit(3)")),  # output, then failure
+        (past_edge, handwriting_mock(unused)),
+    ):
+        cfg = base_config(machine_mock(machine_script), hand)
+        record = transcribe_page(path, cfg)
+        options = record.options[(0, 1)]
+        assert (options.c, options.d) == (UNK, UNK)
+        assert options_size(options) == 4
+        # rule fallback: D is UNK, B is UNK (garble uncorrectable), so A stays
+        assert flatten(record.final) == ["a", "qzqzq"]
+    assert unused.lookups == 0
 
 
 def test_no_handwritten_recognizer_configured(tmp_path):
@@ -304,7 +324,7 @@ def test_rotation_tie_breaks_to_smaller_angle(tmp_path, english):
         script.update(script_page(rotated, boxes))
     cfg = base_config(machine_mock(script), rotate_select=True)
     resources = load_resources(cfg)
-    angle, page = select_rotation(img, cfg, resources)
+    angle, _, page = select_rotation(img, cfg, resources)
     assert angle == 0
 
 
@@ -457,7 +477,7 @@ def test_corpus_collects_page_failures(tmp_path, planted):
     assert len(result.pages) == 3
 
 
-def test_page_named_like_the_report_is_refused(tmp_path, planted):
+def test_page_named_like_the_report_is_refused(tmp_path, planted, caplog):
     # the evaluation report owns report.txt/report.json: a page of that name
     # fails, naming the reserved stem, instead of losing its outputs
     import shutil
@@ -471,6 +491,20 @@ def test_page_named_like_the_report_is_refused(tmp_path, planted):
     assert "'report' is reserved" in result.failures["report"]
     assert len(result.pages) == 2 and result.report.document_count() == 2
     assert (out / "report.json").read_text(encoding="utf-8") == result.report.to_json()
+    # the page fails before any work: resumed, the other pages come from their
+    # checkpoints, so no engine runs, and report.json is never read as a page
+    machine, hand = planted.config.machine_printed, planted.config.handwritten
+    counting = replace(
+        planted.config,
+        machine_printed=replace(machine, mock_script=CountingScript(machine.mock_script)),
+        handwritten=replace(hand, mock_script=CountingScript(hand.mock_script)),
+    )
+    caplog.clear()
+    again = run_corpus(input_copy, counting, out, planted.labels_dir, resume=True)
+    assert set(again.failures) == {"report"} and len(again.pages) == 2
+    assert counting.machine_printed.mock_script.lookups == 0
+    assert counting.handwritten.mock_script.lookups == 0
+    assert "unreadable checkpoint" not in caplog.text
 
 
 def test_corpus_without_labels_has_no_report(tmp_path, planted):
@@ -544,6 +578,31 @@ def test_corpus_resume_recomputes_unreadable_checkpoints(tmp_path, planted):
     (out / f"{bad_box}.json").write_text(json.dumps(doc), encoding="utf-8")
     again = run_corpus(corpus.input_dir, corpus.config, out, resume=True)
     assert not again.failures
+    assert {p.source_id: p.to_json() for p in again.pages} == expected
+    for stem, record_json in expected.items():
+        assert (out / f"{stem}.json").read_text(encoding="utf-8") == record_json
+
+
+def test_corpus_resume_recomputes_checkpoints_with_unknown_keys(tmp_path, planted, caplog):
+    # a checkpoint holds exactly the record's fields: an unknown key at any
+    # depth makes it unreadable, so the page is transcribed again
+    corpus = planted
+    out = tmp_path / "out"
+    first = run_corpus(corpus.input_dir, corpus.config, out)
+    expected = {p.source_id: p.to_json() for p in first.pages}
+    for stem, where in zip(sorted(expected), ("word_boxes", "options", "final"), strict=True):
+        doc = json.loads(expected[stem])
+        nested = {
+            "word_boxes": doc["word_boxes"][0],
+            "options": next(iter(doc["options"].values())),
+            "final": doc["final"],
+        }[where]
+        nested["trace"] = {"stage": "unknown"}
+        (out / f"{stem}.json").write_text(json.dumps(doc), encoding="utf-8")
+    caplog.clear()
+    again = run_corpus(corpus.input_dir, corpus.config, out, resume=True)
+    assert not again.failures
+    assert caplog.text.count("unreadable checkpoint") == 3
     assert {p.source_id: p.to_json() for p in again.pages} == expected
     for stem, record_json in expected.items():
         assert (out / f"{stem}.json").read_text(encoding="utf-8") == record_json

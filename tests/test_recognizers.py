@@ -152,13 +152,27 @@ def test_external_word_recognizer_reads_stdout():
 
 
 def test_external_nonzero_exit():
+    # a plain failure, a kill by a signal, and output written before failing
+    for script in (
+        "import sys; sys.exit(2)",
+        "import os, signal; os.kill(os.getpid(), signal.SIGKILL)",
+        "print('move'); raise SystemExit(3)",
+    ):
+        spec = RecognizerSpec(
+            kind=HANDWRITTEN,
+            backend=EXTERNAL,
+            argv_template=(sys.executable, "-c", script, "{in}", "{out}"),
+        )
+        with pytest.raises(RecognizerError):
+            recognize_word(spec, img())
+    # a page engine that writes its hOCR and then exits nonzero
     spec = RecognizerSpec(
-        kind=HANDWRITTEN,
+        kind=MACHINE_PRINTED,
         backend=EXTERNAL,
-        argv_template=(sys.executable, "-c", "import sys; sys.exit(2)", "{in}", "{out}"),
+        argv_template=(sys.executable, "-c", PAGE_SCRIPT + "sys.exit(1)\n", "{in}", "{out}"),
     )
     with pytest.raises(RecognizerError):
-        recognize_word(spec, img())
+        recognize_page(spec, img())
 
 
 def test_external_missing_output_file():
