@@ -22,6 +22,7 @@ from mixtext.imaging import (
     rotate,
     save_pgm,
 )
+from mixtext.recognizers import image_fingerprint
 
 
 def write_pgm(path, width, height, payload, maxval=255, comment=False):
@@ -84,6 +85,58 @@ def stripes(width=160, height=120, period=12, thickness=3) -> RasterImage:
     for y0 in range(10, height - 5, period):
         arr[y0 : y0 + thickness, 8 : width - 8] = 0
     return RasterImage.from_array(arr)
+
+
+def seeded_page(seed=2019, height=41, width=57) -> np.ndarray:
+    """Grey noise with a few dark text-like bars, as a uint8 array."""
+    rng = np.random.default_rng(seed)
+    arr = rng.integers(170, 256, size=(height, width), dtype=np.uint8)
+    for y0 in range(5, height - 6, 9):
+        arr[y0 : y0 + 3, 4 : width - 4] = rng.integers(0, 90, size=(3, width - 8), dtype=np.uint8)
+    return arr
+
+
+# --- pinned output bytes ----------------------------------------------------
+
+
+PINNED_FINGERPRINTS = {
+    "load_image pgm maxval 15": "57x41:d71aee75bf60795c",
+    "load_image gray png": "57x41:8536d7af16e49340",
+    "load_image rgb png": "57x41:d4db51faa199a566",
+    "enhance": "57x41:c4d0a1d6774cccea",
+    "rotate 90": "41x57:e73c4c987faa948f",
+    "rotate 180": "57x41:d1d14c21a8cb4377",
+    "rotate 270": "41x57:fb5821d9b5f18fb7",
+    "rotate 3.5": "60x45:7959fb23425a6393",
+    "crop_word": "35x23:ec2ba0909074109b",
+}
+
+
+def test_imaging_outputs_are_pinned(tmp_path):
+    # Literal fingerprints of every imaging stage's output on one seeded page:
+    # every mock script is keyed by these bytes, so any pixel drift shows here.
+    arr = seeded_page()
+    page = RasterImage.from_array(arr)
+    pgm = tmp_path / "page.pgm"
+    write_pgm(pgm, arr.shape[1], arr.shape[0], (arr >> 4).tobytes(), maxval=15)
+    filters = [row % 5 for row in range(arr.shape[0])]  # all five PNG filter types
+    gray = tmp_path / "gray.png"
+    gray.write_bytes(encode_png(arr, color_type=0, row_filters=filters))
+    rgb = tmp_path / "rgb.png"
+    planes = np.stack([arr, np.roll(arr, 7, axis=1), arr[::-1]], axis=2)
+    rgb.write_bytes(encode_png(planes, color_type=2, row_filters=filters[::-1]))
+    outputs = {
+        "load_image pgm maxval 15": load_image(pgm),
+        "load_image gray png": load_image(gray),
+        "load_image rgb png": load_image(rgb),
+        "enhance": enhance(page),
+        "rotate 90": rotate(page, 90),
+        "rotate 180": rotate(page, 180),
+        "rotate 270": rotate(page, 270),
+        "rotate 3.5": rotate(page, 3.5),
+        "crop_word": crop_word(page, box(6, 4, 31, 17), pad_pixels=5),
+    }
+    assert {name: image_fingerprint(img) for name, img in outputs.items()} == PINNED_FINGERPRINTS
 
 
 # --- loading ----------------------------------------------------------------
