@@ -3,7 +3,7 @@
 Subcommands: transcribe a single page, run a corpus, evaluate predictions
 against labels, build merged ground-truth labels, and summarize page
 records. Exit codes: 0 success, 1 partial page failures or unreadable page
-records, 2 config error.
+records (or an unusable dictionary or vector file), 2 config error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from collections import Counter
 from pathlib import Path
 
 from .docmodel import PageRecord, Transcription, flatten, options_size
-from .metrics import EvalPair, build_report, options_stats
+from .embeddings import EmbeddingError
+from .metrics import EvalPair, build_report
 from .mixed_labels import LabelFormatError, build_mixed_label, parse_iam_ascii
 from .pipeline import (
     CHECKPOINT_ERRORS,
@@ -47,7 +48,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (PageError, LabelFormatError, OSError) as exc:
+    except (PageError, LabelFormatError, EmbeddingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -229,17 +230,12 @@ def _cmd_report(args) -> int:
         except CHECKPOINT_ERRORS as exc:
             print(f"{record_path}: not a page record ({type(exc).__name__}: {exc})", file=sys.stderr)
             unreadable += 1
-    frac1, frac3, frac4 = options_stats(records)
-    sizes = Counter()
-    for record in records:
-        for options in record.options.values():
-            sizes[options_size(options)] += 1
+    sizes = Counter(options_size(o) for record in records for o in record.options.values())
+    words = sum(sizes.values())
     print(f"pages: {len(records)}")
-    print(f"words: {sum(sizes.values())}")
-    print(
-        "options sizes: "
-        f"1 -> {sizes[1]} ({frac1:.1%}), 3 -> {sizes[3]} ({frac3:.1%}), 4 -> {sizes[4]} ({frac4:.1%})"
-    )
+    print(f"words: {words}")
+    shares = (f"{k} -> {sizes[k]} ({sizes[k] / (words or 1):.1%})" for k in (1, 3, 4))
+    print("options sizes: " + ", ".join(shares))
     flagged = [r.source_id for r in records if not r.word_boxes]
     if flagged:
         print("pages with no words: " + ", ".join(sorted(flagged)))

@@ -41,35 +41,38 @@ class EnhancementError(RuntimeError):
     """An external enhancement command failed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RasterImage:
-    """Immutable grayscale raster; `pixels` is row-major, one byte per pixel."""
+    """Immutable grayscale raster: a read-only, C-contiguous uint8 array of
+    shape (height, width), copied from the array it is built from."""
 
-    width: int
-    height: int
-    pixels: bytes
+    array: np.ndarray
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ImageFormatError(f"bad dimensions {self.width}x{self.height}")
-        if len(self.pixels) != self.width * self.height:
-            raise ImageFormatError(
-                f"{len(self.pixels)} pixel bytes for {self.width}x{self.height}"
-            )
+        arr = self.array
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.uint8 and arr.ndim == 2 and arr.size):
+            kind = getattr(arr, "dtype", type(arr).__name__)
+            raise ImageFormatError(f"expected a non-empty 2-d uint8 array, got {kind} {np.shape(arr)}")
+        arr = np.array(arr, order="C")
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
+
+    @property
+    def width(self) -> int:
+        return self.array.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.array.shape[0]
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "RasterImage":
-        arr = np.asarray(arr)
-        if arr.ndim != 2:
-            raise ImageFormatError(f"expected 2-d array, got shape {arr.shape}")
-        data = np.clip(np.rint(arr), 0, 255).astype(np.uint8)
-        return cls(arr.shape[1], arr.shape[0], data.tobytes())
+        """Round computed pixel values to the nearest uint8."""
+        return cls(np.clip(np.rint(arr), 0, 255).astype(np.uint8))
 
     def to_array(self) -> np.ndarray:
-        return np.frombuffer(self.pixels, dtype=np.uint8).reshape(self.height, self.width)
-
-    def pixel(self, x: int, y: int) -> int:
-        return self.pixels[y * self.width + x]
+        """The stored array itself, read-only; no copy is made."""
+        return self.array
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,7 @@ def load_image(path: str | Path) -> RasterImage:
 
 def save_pgm(img: RasterImage, path: str | Path) -> None:
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + img.pixels)
+    Path(path).write_bytes(header + memoryview(img.to_array()))
 
 
 def _decode_pgm(data: bytes) -> RasterImage:
@@ -126,10 +129,10 @@ def _decode_pgm(data: bytes) -> RasterImage:
     raster = data[pos : pos + width * height]
     if len(raster) != width * height:
         raise ImageFormatError("PGM raster shorter than header promises")
+    arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
     if maxval != 255:
-        arr = np.frombuffer(raster, dtype=np.uint8).astype(np.uint16)
-        raster = ((arr * 255) // maxval).astype(np.uint8).tobytes()
-    return RasterImage(width, height, raster)
+        arr = (arr.astype(np.uint16) * 255 // maxval).astype(np.uint8)
+    return RasterImage(arr)
 
 
 def _decode_png(data: bytes) -> RasterImage:
@@ -143,6 +146,8 @@ def _decode_png(data: bytes) -> RasterImage:
         if len(body) != length:
             raise ImageFormatError("truncated PNG chunk")
         if ctype == b"IHDR":
+            if length != 13:
+                raise ImageFormatError(f"PNG IHDR chunk of {length} bytes, not 13")
             width = int.from_bytes(body[0:4], "big")
             height = int.from_bytes(body[4:8], "big")
             bit_depth, color_type, _, _, interlace = body[8:13]
@@ -166,15 +171,13 @@ def _decode_png(data: bytes) -> RasterImage:
     if len(raw) != (stride + 1) * height:
         raise ImageFormatError("PNG pixel data has wrong length")
     flat = _unfilter_scanlines(raw, height, stride, channels)
+    arr = np.frombuffer(flat, dtype=np.uint8).reshape(height, width, channels)
     if channels == 1:
-        return RasterImage(width, height, bytes(flat))
-    rgb = np.frombuffer(bytes(flat), dtype=np.uint8).reshape(height, width, 3)
-    lum = (
-        77 * rgb[:, :, 0].astype(np.uint32)
-        + 150 * rgb[:, :, 1].astype(np.uint32)
-        + 29 * rgb[:, :, 2].astype(np.uint32)
-    ) >> 8
-    return RasterImage.from_array(lum)
+        return RasterImage(arr[:, :, 0])
+    rgb = arr.astype(np.uint32)
+    # at most (77 + 150 + 29) * 255 >> 8 == 255, so exact in uint8
+    lum = (77 * rgb[:, :, 0] + 150 * rgb[:, :, 1] + 29 * rgb[:, :, 2]) >> 8
+    return RasterImage(lum.astype(np.uint8))
 
 
 def _unfilter_scanlines(raw: bytes, height: int, stride: int, bpp: int) -> bytearray:
@@ -234,8 +237,7 @@ def enhance(
         if (out.width, out.height) != (img.width, img.height):
             raise EnhancementError("enhancement command changed image dimensions")
         return out
-    arr = img.to_array()
-    return RasterImage.from_array(_median3(_stretch(arr)))
+    return RasterImage(_median3(_stretch(img.to_array())))
 
 
 def _stretch(arr: np.ndarray) -> np.ndarray:
@@ -365,9 +367,7 @@ def rotate(img: RasterImage, angle_degrees: float) -> RasterImage:
     """
     norm = angle_degrees % 360.0
     if norm in (0.0, 90.0, 180.0, 270.0):
-        arr = img.to_array()
-        rotated = np.rot90(arr, k=int(norm) // 90)
-        return RasterImage.from_array(np.ascontiguousarray(rotated))
+        return RasterImage(np.rot90(img.to_array(), k=int(norm) // 90))
     return _rotate_bilinear(img, angle_degrees)
 
 
@@ -414,6 +414,5 @@ def crop_word(img: RasterImage, box: WordBox, pad_pixels: int = DEFAULT_PAD_PIXE
     x0, y0, x1, y1 = box.bbox
     if x0 < 0 or y0 < 0 or x1 > img.width or y1 > img.height:
         raise GeometryError(f"box {box.bbox} outside {img.width}x{img.height} image")
-    arr = img.to_array()[y0:y1, x0:x1]
-    padded = np.pad(arr, pad_pixels, mode="constant", constant_values=255)
-    return RasterImage.from_array(padded)
+    crop = img.to_array()[y0:y1, x0:x1]
+    return RasterImage(np.pad(crop, pad_pixels, mode="constant", constant_values=255))

@@ -159,5 +159,5 @@ def dictionary_score(words, dictionary: Dictionary) -> float:
     qualifying = [w for w in words if len(w) >= 2 and w.isalpha()]
     if not qualifying:
         return 0.0
-    hits = sum(1 for w in qualifying if w.lower() in dictionary.casefold_index)
+    hits = sum(1 for w in qualifying if dictionary.contains(w))
     return hits / len(qualifying)

@@ -128,6 +128,8 @@ class PipelineConfig:
             raise ConfigError(f"unknown embedding backend {self.embedding_backend!r}")
         if self.embedding_backend == BACKEND_FILE and not self.embedding_path:
             raise ConfigError("embedding_backend 'file' needs embedding_path")
+        if self.embedding_dim < 1:
+            raise ConfigError(f"embedding_dim must be at least 1, got {self.embedding_dim}")
         if self.pad_pixels < 0:
             raise ConfigError(f"pad_pixels must be non-negative, got {self.pad_pixels}")
         if not 0 < self.deskew_step <= self.deskew_range <= 45:

@@ -33,7 +33,7 @@ class ScriptedMissError(RecognizerError):
 def image_fingerprint(img: RasterImage) -> str:
     """Stable identity of an image: dimensions plus a 64-bit BLAKE2b digest
     of its pixels."""
-    return f"{img.width}x{img.height}:{hashlib.blake2b(img.pixels, digest_size=8).hexdigest()}"
+    return f"{img.width}x{img.height}:{hashlib.blake2b(img.to_array(), digest_size=8).hexdigest()}"
 
 
 @dataclass(frozen=True)

@@ -104,9 +104,17 @@ def test_invalid_flag_value_is_exit_2(planted_config_file, capsys):
         ["--config", str(planted_config_file), "transcribe", "x.pgm", "--nomination", "vote"]
     )
     assert code == 2
-    for flag, value in (("--rotation-candidates", "0,x"), ("--enhancement-command", "'unclosed")):
+    for flag, value in (
+        ("--rotation-candidates", "0,x"),
+        ("--enhancement-command", "'unclosed"),
+        ("--embedding-dim", "0"),
+    ):
         code = main(["--config", str(planted_config_file), "transcribe", "x.pgm", flag, value])
         assert code == 2
+    capsys.readouterr()
+    code = main(["--config", str(planted_config_file), "evaluate", "p", "l", "--embedding-dim", "0"])
+    assert code == 2
+    assert "config error: embedding_dim" in capsys.readouterr().err
 
 
 def test_bad_recognizer_json_flag_is_exit_2(capsys):
@@ -283,6 +291,21 @@ def test_evaluate_with_a_vector_file(tmp_path, capsys):
     config.write_text(json.dumps({"embedding_backend": "file"}), encoding="utf-8")
     assert main(["--config", str(config), "evaluate", str(pred), str(label)]) == 2
     assert "embedding_path" in capsys.readouterr().err
+
+
+def test_malformed_vector_file_is_exit_1(tmp_path, planted, capsys):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("move 1 0\nstop 0 1 1\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    doc = {**json.loads(config_json(planted.config)), "embedding_backend": "file"}
+    config.write_text(json.dumps({**doc, "embedding_path": str(vectors)}), encoding="utf-8")
+    for command in (
+        ["evaluate", str(planted.labels_dir), str(planted.labels_dir)],
+        ["run", str(planted.input_dir), "--out", str(tmp_path / "out")],
+    ):
+        assert main(["--config", str(config), *command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 2 has 3 components, expected 2" in err
 
 
 def test_build_labels_cli(tmp_path, data_dir, capsys):

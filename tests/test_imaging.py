@@ -80,6 +80,14 @@ def encode_png(arr: np.ndarray, color_type: int, row_filters=None) -> bytes:
     )
 
 
+def uniform(width, height, value) -> RasterImage:
+    return RasterImage(np.full((height, width), value, dtype=np.uint8))
+
+
+def same_pixels(a: RasterImage, b: RasterImage) -> bool:
+    return np.array_equal(a.to_array(), b.to_array())
+
+
 def stripes(width=160, height=120, period=12, thickness=3) -> RasterImage:
     arr = np.full((height, width), 255, dtype=np.uint8)
     for y0 in range(10, height - 5, period):
@@ -139,6 +147,31 @@ def test_imaging_outputs_are_pinned(tmp_path):
     assert {name: image_fingerprint(img) for name, img in outputs.items()} == PINNED_FINGERPRINTS
 
 
+# --- the raster itself -----------------------------------------------------
+
+
+def test_raster_image_needs_a_non_empty_2d_uint8_array():
+    for arr in (
+        np.zeros((4, 5, 3), dtype=np.uint8),
+        np.zeros((4, 5), dtype=np.float64),
+        np.zeros((4, 0), dtype=np.uint8),
+    ):
+        with pytest.raises(ImageFormatError):
+            RasterImage(arr)
+
+
+def test_raster_image_cannot_be_changed_after_construction():
+    source = seeded_page()
+    img = RasterImage(source)
+    before = image_fingerprint(img)
+    with pytest.raises(ValueError):
+        img.to_array()[0, 0] = 0
+    source[:] = 0
+    assert image_fingerprint(img) == before
+    assert (img.width, img.height) == (source.shape[1], source.shape[0])
+    assert RasterImage(source.T).to_array().flags.c_contiguous
+
+
 # --- loading ----------------------------------------------------------------
 
 
@@ -147,19 +180,19 @@ def test_load_pgm(tmp_path):
     write_pgm(path, 2, 2, [0, 255, 255, 0])
     img = load_image(path)
     assert (img.width, img.height) == (2, 2)
-    assert list(img.pixels) == [0, 255, 255, 0]
+    assert np.array_equal(img.to_array(), [[0, 255], [255, 0]])
 
 
 def test_load_pgm_single_white_pixel(tmp_path):
     path = tmp_path / "img.pgm"
     write_pgm(path, 1, 1, [255])
-    assert load_image(path) == RasterImage(1, 1, b"\xff")
+    assert same_pixels(load_image(path), uniform(1, 1, 255))
 
 
 def test_load_pgm_with_comment_and_maxval_scaling(tmp_path):
     path = tmp_path / "img.pgm"
     write_pgm(path, 2, 1, [0, 15], maxval=15, comment=True)
-    assert list(load_image(path).pixels) == [0, 255]
+    assert np.array_equal(load_image(path).to_array(), [[0, 255]])
 
 
 def test_load_zero_byte_file(tmp_path):
@@ -192,7 +225,7 @@ def test_pgm_round_trip(tmp_path):
     img = stripes(40, 30)
     path = tmp_path / "out.pgm"
     save_pgm(img, path)
-    assert load_image(path) == img
+    assert same_pixels(load_image(path), img)
 
 
 def test_png_gray_round_trip(tmp_path):
@@ -222,7 +255,7 @@ def test_png_rgb_luminance(tmp_path):
     path.write_bytes(encode_png(arr, color_type=2, row_filters=[0, 4]))
     img = load_image(path)
     expected = [(77 * 255) >> 8, (150 * 255) >> 8, (29 * 255) >> 8, (256 * 255) >> 8]
-    assert list(img.pixels) == expected
+    assert np.array_equal(img.to_array(), np.reshape(expected, (2, 2)))
 
 
 def test_png_rejects_16_bit(tmp_path):
@@ -243,16 +276,18 @@ def test_malformed_images_are_format_errors(tmp_path):
 
     ihdr = (b"IHDR", struct.pack(">IIBBBBB", 3, 2, 8, 0, 0, 0, 0))
     iend = (b"IEND", b"")
-    valid = png(ihdr, (b"IDAT", zlib.compress(bytes(2 * (1 + 3)))), iend)
+    valid_idat = (b"IDAT", zlib.compress(bytes(2 * (1 + 3))))
+    valid = png(ihdr, valid_idat, iend)
     path = tmp_path / "img"
     path.write_bytes(valid)
-    assert load_image(path) == RasterImage(3, 2, bytes(6))
+    assert same_pixels(load_image(path), uniform(3, 2, 0))
     cases = {
         "PGM header cut short": b"P5\n4 4",
         "PGM header token not a number": b"P5\n4 x 255\n" + bytes(16),
         "PGM without pixels across": b"P5\n0 4 255\n",
         "PGM maxval above 255": b"P5\n2 2 300\n" + bytes(8),
         "PNG chunk cut short": valid[: -len(iend[1]) - 12 - 4 - 2],
+        "PNG IHDR cut short": png((b"IHDR", ihdr[1][:12]), valid_idat, iend),
         "PNG without IDAT": png(ihdr, iend),
         "PNG without IHDR": png((b"IDAT", zlib.compress(bytes(8))), iend),
         "PNG deflate stream corrupt": png(ihdr, (b"IDAT", b"not a deflate stream"), iend),
@@ -270,8 +305,8 @@ def test_malformed_images_are_format_errors(tmp_path):
 
 
 def test_enhance_constant_image():
-    img = RasterImage(4, 4, bytes([128] * 16))
-    assert enhance(img) == img
+    img = uniform(4, 4, 128)
+    assert same_pixels(enhance(img), img)
 
 
 def test_enhance_two_level_stretch():
@@ -289,7 +324,7 @@ def test_enhance_full_range_fixed_point():
     arr = np.full((12, 12), 255, dtype=np.uint8)
     arr[:, :6] = 0
     img = RasterImage.from_array(arr)
-    assert enhance(img) == img
+    assert same_pixels(enhance(img), img)
 
 
 @given(st.integers(2, 12), st.integers(2, 12), st.integers(0, 2**32 - 1))
@@ -309,7 +344,7 @@ def test_enhance_external_identity(tmp_path):
         "{in}",
         "{out}",
     ]
-    assert enhance(img, command=command, timeout=30) == img
+    assert same_pixels(enhance(img, command=command, timeout=30), img)
 
 
 def test_enhance_external_failure(tmp_path):
@@ -339,7 +374,7 @@ def test_estimate_skew_aligned_stripes():
 
 
 def test_estimate_skew_blank_image():
-    blank = RasterImage(20, 20, bytes([255] * 400))
+    blank = uniform(20, 20, 255)
     estimate = estimate_skew(blank, 10, 0.5)
     assert estimate.angle_degrees == 0.0
     assert estimate.score == 0.0
@@ -432,8 +467,8 @@ def test_estimate_skew_finds_planted_angle_at_every_cardinal_rotation(line_sizes
 
 
 def test_rotate_180_two_pixels():
-    img = RasterImage(2, 1, bytes([0, 255]))
-    assert list(rotate(img, 180).pixels) == [255, 0]
+    img = RasterImage(np.array([[0, 255]], dtype=np.uint8))
+    assert np.array_equal(rotate(img, 180).to_array(), [[255, 0]])
 
 
 def test_rotate_90_swaps_dimensions():
@@ -446,7 +481,7 @@ small_images = st.integers(1, 6).flatmap(
     lambda w: st.integers(1, 6).flatmap(
         lambda h: st.lists(
             st.integers(0, 255), min_size=w * h, max_size=w * h
-        ).map(lambda px: RasterImage(w, h, bytes(px)))
+        ).map(lambda px: RasterImage(np.array(px, dtype=np.uint8).reshape(h, w)))
     )
 )
 
@@ -454,7 +489,7 @@ small_images = st.integers(1, 6).flatmap(
 @settings(max_examples=50)
 @given(small_images)
 def test_rotate_90_then_270_is_identity(img):
-    assert rotate(rotate(img, 90), 270) == img
+    assert same_pixels(rotate(rotate(img, 90), 270), img)
 
 
 @settings(max_examples=50)
@@ -463,33 +498,33 @@ def test_rotate_four_quarters_is_identity(img):
     out = img
     for _ in range(4):
         out = rotate(out, 90)
-    assert out == img
+    assert same_pixels(out, img)
 
 
 def test_rotate_cardinal_is_permutation():
     img = stripes(17, 11)
     for angle in (90, 180, 270):
         out = rotate(img, angle)
-        assert sorted(out.pixels) == sorted(img.pixels)
+        assert np.array_equal(np.sort(out.to_array(), axis=None), np.sort(img.to_array(), axis=None))
 
 
 def test_rotate_negative_angle_normalizes():
     img = stripes(17, 11)
-    assert rotate(img, -90) == rotate(img, 270)
+    assert same_pixels(rotate(img, -90), rotate(img, 270))
 
 
 def test_rotate_bilinear_canvas_size():
-    img = RasterImage(10, 10, bytes([0] * 100))
+    img = uniform(10, 10, 0)
     out = rotate(img, 45)
     assert (out.width, out.height) == (15, 15)
 
 
 def test_rotate_bilinear_fills_white():
-    img = RasterImage(10, 10, bytes([0] * 100))
-    out = rotate(img, 45)
+    img = uniform(10, 10, 0)
+    out = rotate(img, 45).to_array()
     # corners of the enlarged canvas lie outside the rotated square
-    assert out.pixel(0, 0) == 255
-    assert out.pixel(out.width - 1, out.height - 1) == 255
+    assert out[0, 0] == 255
+    assert out[-1, -1] == 255
 
 
 # --- crop -------------------------------------------------------------------
@@ -500,20 +535,20 @@ def box(x0, y0, x1, y1):
 
 
 def test_crop_dimensions_with_padding():
-    img = RasterImage(40, 40, bytes([7] * 1600))
+    img = uniform(40, 40, 7)
     out = crop_word(img, box(10, 10, 20, 20), pad_pixels=8)
     assert (out.width, out.height) == (26, 26)
 
 
 def test_crop_exact_without_padding():
-    img = RasterImage(40, 40, bytes(range(40)) * 40)
+    img = RasterImage(np.tile(np.arange(40, dtype=np.uint8), (40, 1)))
     out = crop_word(img, box(3, 5, 9, 11), pad_pixels=0)
     assert (out.width, out.height) == (6, 6)
     assert np.array_equal(out.to_array(), img.to_array()[5:11, 3:9])
 
 
 def test_crop_padding_ring_is_white():
-    img = RasterImage(10, 10, bytes([0] * 100))
+    img = uniform(10, 10, 0)
     out = crop_word(img, box(0, 0, 10, 10), pad_pixels=2)
     arr = out.to_array()
     assert (out.width, out.height) == (14, 14)
@@ -523,7 +558,7 @@ def test_crop_padding_ring_is_white():
 
 
 def test_crop_out_of_bounds():
-    img = RasterImage(10, 10, bytes([0] * 100))
+    img = uniform(10, 10, 0)
     with pytest.raises(GeometryError):
         crop_word(img, box(5, 5, 11, 9), pad_pixels=0)
     with pytest.raises(GeometryError):
@@ -538,6 +573,6 @@ def test_crop_out_of_bounds():
     pad=st.integers(0, 6),
 )
 def test_crop_dimension_formula(x0, y0, dx, dy, pad):
-    img = RasterImage(40, 40, bytes([200] * 1600))
+    img = uniform(40, 40, 200)
     out = crop_word(img, box(x0, y0, x0 + dx, y0 + dy), pad_pixels=pad)
     assert (out.width, out.height) == (dx + 2 * pad, dy + 2 * pad)

@@ -81,6 +81,8 @@ def test_config_validation_errors():
         PipelineConfig(embedding_backend="bert").validate()
     with pytest.raises(ConfigError):
         PipelineConfig(embedding_backend="file")  # without an embedding_path
+    with pytest.raises(ConfigError):
+        PipelineConfig(embedding_dim=0)
     # the config validates itself, so a bad replace fails at once
     valid_cfg = PipelineConfig()
     with pytest.raises(ConfigError):

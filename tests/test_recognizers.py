@@ -1,6 +1,7 @@
 import re
 import sys
 
+import numpy as np
 import pytest
 
 from mixtext.docmodel import WordBox
@@ -21,7 +22,7 @@ from mixtext.recognizers import (
 
 
 def img(width=6, height=4, value=255):
-    return RasterImage(width, height, bytes([value] * width * height))
+    return RasterImage(np.full((height, width), value, dtype=np.uint8))
 
 
 def test_fingerprint_is_stable_and_sensitive():
@@ -33,12 +34,13 @@ def test_fingerprint_is_stable_and_sensitive():
 
 
 def test_fingerprint_format_and_single_changes():
-    pixels = bytes(range(6))
-    base = RasterImage(3, 2, pixels)
+    pixels = np.arange(6, dtype=np.uint8)
+    base = RasterImage(pixels.reshape(2, 3))
     assert re.fullmatch(r"3x2:[0-9a-f]{16}", image_fingerprint(base))
-    one_pixel = RasterImage(3, 2, pixels[:4] + bytes([pixels[4] + 1]) + pixels[5:])
-    assert image_fingerprint(one_pixel) != image_fingerprint(base)
-    swapped = RasterImage(2, 3, pixels)
+    one_pixel = pixels.copy()
+    one_pixel[4] += 1
+    assert image_fingerprint(RasterImage(one_pixel.reshape(2, 3))) != image_fingerprint(base)
+    swapped = RasterImage(pixels.reshape(3, 2))
     assert image_fingerprint(swapped) != image_fingerprint(base)
     assert image_fingerprint(swapped).split(":")[1] == image_fingerprint(base).split(":")[1]
 
