@@ -2,8 +2,8 @@
 
 Subcommands: transcribe a single page, run a corpus, evaluate predictions
 against labels, build merged ground-truth labels, and summarize page
-records. Exit codes: 0 success, 1 partial page failures or unreadable page
-records (or an unusable dictionary or vector file), 2 config error.
+records. Exit codes: 0 success, 1 partial page failures, unreadable page
+records, or an unusable input file or directory, 2 config error.
 """
 
 from __future__ import annotations
@@ -14,20 +14,20 @@ import logging
 import os
 import shlex
 import sys
-from collections import Counter
 from pathlib import Path
 
-from .docmodel import PageRecord, Transcription, flatten, options_size
+from .docmodel import PageRecord, TextFileError, Transcription, read_text
 from .embeddings import EmbeddingError
-from .metrics import EvalPair, build_report
+from .metrics import options_histogram
 from .mixed_labels import LabelFormatError, build_mixed_label, parse_iam_ascii
 from .pipeline import (
     CHECKPOINT_ERRORS,
-    REPORT_STEM,
     ConfigError,
     PageError,
     PipelineConfig,
     embedding_model_from_config,
+    evaluate,
+    page_files,
     read_config,
     run_corpus,
     transcribe_page,
@@ -35,8 +35,6 @@ from .pipeline import (
 )
 
 CONFIG_ENV_VAR = "TMIXT_CONFIG"
-
-log = logging.getLogger(__name__)
 
 
 def main(argv=None) -> int:
@@ -48,7 +46,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (PageError, LabelFormatError, EmbeddingError, OSError) as exc:
+    except (PageError, LabelFormatError, EmbeddingError, TextFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -173,20 +171,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    model = embedding_model_from_config(cfg)
-    label_dir = Path(args.label_dir)
-    pairs = []
-    for pred_path in sorted(Path(args.pred_dir).glob("*.txt")):
-        if pred_path.stem == REPORT_STEM:
-            continue
-        label_path = label_dir / pred_path.name
-        if not label_path.exists():
-            log.warning("no label for %s; skipping", pred_path.stem)
-            continue
-        pred = Transcription.from_text(pred_path.read_text(encoding="utf-8"), pred_path.stem)
-        target = Transcription.from_text(label_path.read_text(encoding="utf-8"), pred_path.stem)
-        pairs.append(EvalPair(pred_path.stem, tuple(flatten(pred)), tuple(flatten(target))))
-    report = build_report(pairs, model)
+    predictions = ((p.stem, Transcription.read(p), {}) for p in page_files(args.pred_dir, ".txt"))
+    report = evaluate(predictions, args.label_dir, embedding_model_from_config(cfg))
     if args.out:
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
     print(report.render_text(), end="")
@@ -194,13 +180,14 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_build_labels(args) -> int:
+    forms = sorted(p for p in Path(args.iam_dir).iterdir() if p.suffix == ".txt")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     failures = 0
-    for form_path in sorted(Path(args.iam_dir).glob("*.txt")):
+    for form_path in forms:
         try:
-            printed, handwritten = parse_iam_ascii(form_path.read_text(encoding="utf-8"))
-        except LabelFormatError as exc:
+            printed, handwritten = parse_iam_ascii(read_text(form_path))
+        except (LabelFormatError, TextFileError) as exc:
             print(f"{form_path.name}: {exc}", file=sys.stderr)
             failures += 1
             continue
@@ -222,15 +209,13 @@ def _cmd_build_labels(args) -> int:
 def _cmd_report(args) -> int:
     records = []
     unreadable = 0
-    for record_path in sorted(Path(args.records_dir).glob("*.json")):
-        if record_path.stem == REPORT_STEM:
-            continue
+    for record_path in page_files(args.records_dir, ".json"):
         try:
             records.append(PageRecord.from_json(record_path.read_text(encoding="utf-8")))
         except CHECKPOINT_ERRORS as exc:
             print(f"{record_path}: not a page record ({type(exc).__name__}: {exc})", file=sys.stderr)
             unreadable += 1
-    sizes = Counter(options_size(o) for record in records for o in record.options.values())
+    sizes = options_histogram(o for record in records for o in record.options.values())
     words = sum(sizes.values())
     print(f"pages: {len(records)}")
     print(f"words: {words}")

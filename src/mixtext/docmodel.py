@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 # Sentinel emitted by spell checking when no correction exists. Tokenization
 # strips angle brackets, so no real token can collide with it.
@@ -12,6 +13,18 @@ UNK = "<UNK>"
 
 class InvariantError(ValueError):
     """A value violates one of the documented shape rules."""
+
+
+class TextFileError(ValueError):
+    """An input text file is not UTF-8, or one of its lines is malformed."""
+
+
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; other bytes raise TextFileError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TextFileError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -83,12 +96,7 @@ def options_members(options: OptionsList) -> list[str]:
     Size 1 collapses to [a], size 3 to [a, b, c] (d duplicates c), size 4
     keeps all four slots.
     """
-    size = options_size(options)
-    if size == 1:
-        return [options.a]
-    if size == 3:
-        return [options.a, options.b, options.c]
-    return [options.a, options.b, options.c, options.d]
+    return [options.a, options.b, options.c, options.d][: options_size(options)]
 
 
 @dataclass(frozen=True)
@@ -118,6 +126,11 @@ class Transcription:
     @classmethod
     def from_text(cls, text: str, source_id: str = "") -> "Transcription":
         return cls(tuple(tuple(ln.split()) for ln in text.splitlines()), source_id)
+
+    @classmethod
+    def read(cls, path: Path) -> "Transcription":
+        """A transcription file; its stem is the source id."""
+        return cls.from_text(read_text(path), path.stem)
 
 
 def flatten(t: Transcription) -> list[str]:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .docmodel import read_text
 from .fnv import fnv1a64
 
 BACKEND_FILE = "file"
@@ -59,8 +60,7 @@ def hash_model(dim: int = DEFAULT_HASH_DIM) -> EmbeddingModel:
 
 def load_model(path: str | Path) -> EmbeddingModel:
     """Parse a `word v1 .. vd` text file; a leading `N d` header is skipped."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    rows = [ln for ln in lines if ln.strip()]
+    rows = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if rows and _looks_like_header(rows[0]):
         rows = rows[1:]
     if not rows:

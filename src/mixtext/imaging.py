@@ -372,14 +372,13 @@ def rotate(img: RasterImage, angle_degrees: float) -> RasterImage:
 
 
 def _rotate_bilinear(img: RasterImage, angle_degrees: float) -> RasterImage:
-    arr = img.to_array().astype(np.float64)
     a = math.radians(angle_degrees % 360.0)
     cos_a, sin_a = math.cos(a), math.sin(a)
     w, h = img.width, img.height
     out_w = int(math.ceil(abs(w * cos_a) + abs(h * sin_a)))
     out_h = int(math.ceil(abs(h * cos_a) + abs(w * sin_a)))
 
-    yo, xo = np.mgrid[0:out_h, 0:out_w]
+    yo, xo = np.ogrid[0:out_h, 0:out_w]
     dxo = xo - (out_w - 1) / 2.0
     dyo = yo - (out_h - 1) / 2.0
     # Inverse map: rotate output offsets by -angle back into source space.
@@ -390,20 +389,12 @@ def _rotate_bilinear(img: RasterImage, angle_degrees: float) -> RasterImage:
     y0 = np.floor(src_y).astype(np.int64)
     fx = src_x - x0
     fy = src_y - y0
+    # the page inside a one-pixel white ring: a tap off the page reads the ring
+    ringed = np.pad(img.to_array().astype(np.float64), 1, constant_values=255.0)
     acc = np.zeros((out_h, out_w), dtype=np.float64)
-    for oy, ox, weight in (
-        (0, 0, (1 - fx) * (1 - fy)),
-        (0, 1, fx * (1 - fy)),
-        (1, 0, (1 - fx) * fy),
-        (1, 1, fx * fy),
-    ):
-        px = x0 + ox
-        py = y0 + oy
-        inside = (px >= 0) & (px < w) & (py >= 0) & (py < h)
-        sample = np.where(
-            inside, arr[np.clip(py, 0, h - 1), np.clip(px, 0, w - 1)], 255.0
-        )
-        acc += weight * sample
+    for oy, wy in ((0, 1 - fy), (1, fy)):
+        for ox, wx in ((0, 1 - fx), (1, fx)):
+            acc += wx * wy * ringed[np.clip(y0 + oy, -1, h) + 1, np.clip(x0 + ox, -1, w) + 1]
     return RasterImage.from_array(acc)
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .docmodel import UNK
+from .docmodel import UNK, TextFileError, read_text
 from .metrics import levenshtein
 
 LEADING_PUNCT = set("(\"'([{")
@@ -66,14 +66,17 @@ class Dictionary:
 
 def load_dictionary(path: str | Path, frequency_path: str | Path | None = None) -> Dictionary:
     """Read a one-word-per-line dictionary, optionally with word<TAB>count frequencies."""
-    words = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    words = [line.strip() for line in read_text(path).splitlines()]
     frequencies = {}
     if frequency_path is not None:
-        for line in Path(frequency_path).read_text(encoding="utf-8").splitlines():
+        for lineno, line in enumerate(read_text(frequency_path).splitlines(), 1):
             if not line.strip():
                 continue
             word, _, count = line.partition("\t")
-            frequencies[word] = int(count)
+            try:
+                frequencies[word] = int(count)
+            except ValueError:
+                raise TextFileError(f"{frequency_path}:{lineno}: not word<TAB>count") from None
     return Dictionary((w for w in words if w), frequencies)
 
 

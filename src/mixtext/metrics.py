@@ -66,15 +66,15 @@ def doc_similarity(pred, target, model: EmbeddingModel) -> float:
     return cosine(embed_document(model, pred), embed_document(model, target))
 
 
+def options_histogram(options_lists) -> Counter:
+    """How many of the options lists have each size."""
+    return Counter(options_size(options) for options in options_lists)
+
+
 def options_stats(pages) -> tuple[float, float, float]:
     """Fractions of words whose options lists have size 1, 3, and 4."""
-    counts = Counter()
-    for page in pages:
-        for options in page.options.values():
-            counts[options_size(options)] += 1
-    total = sum(counts.values())
-    if total == 0:
-        return (0.0, 0.0, 0.0)
+    counts = options_histogram(o for page in pages for o in page.options.values())
+    total = sum(counts.values()) or 1
     return (counts[1] / total, counts[3] / total, counts[4] / total)
 
 
@@ -191,10 +191,9 @@ def build_report(pairs, model: EmbeddingModel) -> EvaluationReport:
         values = [scores.scalar(name) for scores in per_doc.values()]
         corpus[name] = sum(values) / len(values) if values else 0.0
     options_totals: Counter = Counter()
-    for scores in per_doc.values():
-        options_totals.update(scores.options_histogram)
     histogram = {name: [0] * 10 for name in HISTOGRAM_METRICS}
     for scores in per_doc.values():
+        options_totals.update(scores.options_histogram)
         for name in HISTOGRAM_METRICS:
             histogram[name][_decile(scores.scalar(name))] += 1
     return EvaluationReport(

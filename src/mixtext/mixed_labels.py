@@ -69,12 +69,8 @@ def parse_iam_ascii(
 
     handwritten: list[list[str]] = []
     for record in lines[handwritten_start + 1:]:
-        record = record.strip()
-        if not record:
-            continue
         if "|" in record:
-            tokens = [tok for tok in record.split("|") if tok.strip()]
-            tokens = [tok.strip() for tok in tokens]
+            tokens = [tok.strip() for tok in record.split("|") if tok.strip()]
         else:
             tokens = record.split()
         if tokens:

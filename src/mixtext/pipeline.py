@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .docmodel import UNK, OptionsList, PageRecord, Transcription, flatten, options_size
+from .docmodel import UNK, OptionsList, PageRecord, Transcription, flatten
 from .embeddings import (
     BACKEND_FILE,
     BACKEND_HASH,
@@ -37,7 +37,7 @@ from .imaging import (
 )
 from .hocr import HocrPage
 from .lexicon import Dictionary, SpellChecker, dictionary_score, load_dictionary, spell_chain
-from .metrics import EvalPair, EvaluationReport, build_report
+from .metrics import EvalPair, EvaluationReport, build_report, options_histogram
 from .nomination import RULE, STRATEGIES, resolve_document
 from .recognizers import (
     DEFAULT_TIMEOUT,
@@ -360,6 +360,28 @@ def _refuse_reserved_stem(stem: str) -> None:
         raise PageError(f"page name {REPORT_STEM!r} is reserved for the evaluation report")
 
 
+def page_files(directory: str | Path, suffix: str) -> list[Path]:
+    """The page outputs in a directory with this suffix, sorted, leaving out the
+    report's; a missing directory raises FileNotFoundError."""
+    return sorted(
+        p for p in Path(directory).iterdir() if p.suffix == suffix and p.stem != REPORT_STEM
+    )
+
+
+def evaluate(predictions, labels_dir: str | Path, model: EmbeddingModel) -> EvaluationReport:
+    """Score `(stem, transcription, options histogram)` predictions against the
+    `<stem>.txt` label files; a prediction without a label is logged and skipped."""
+    labels = {path.stem: path for path in page_files(labels_dir, ".txt")}
+    pairs = []
+    for stem, predicted, histogram in predictions:
+        if stem not in labels:
+            log.warning("no label for %s; skipping", stem)
+            continue
+        target = Transcription.read(labels[stem])
+        pairs.append(EvalPair(stem, tuple(flatten(predicted)), tuple(flatten(target)), histogram))
+    return build_report(pairs, model)
+
+
 def run_corpus(
     input_dir: str | Path,
     cfg: PipelineConfig,
@@ -373,11 +395,13 @@ def run_corpus(
     if cfg.machine_printed is None:
         raise ConfigError("no machine_printed recognizer configured")
     resources = load_resources(cfg)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = sorted(
         p for p in Path(input_dir).iterdir() if p.suffix.lower() in IMAGE_SUFFIXES
     )
+    if labels_dir is not None and not Path(labels_dir).is_dir():
+        raise NotADirectoryError(f"labels {labels_dir} is not a directory")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     def process(path: Path) -> PageRecord:
         _refuse_reserved_stem(path.stem)  # before its checkpoint or any engine call
@@ -393,7 +417,7 @@ def run_corpus(
 
     results: dict[str, PageRecord] = {}
     failures: dict[str, str] = {}
-    with ThreadPoolExecutor(max_workers=max(1, cfg.parallelism)) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
         futures = {pool.submit(process, p): p for p in paths}
         for future, path in futures.items():
             try:
@@ -404,23 +428,12 @@ def run_corpus(
 
     report = None
     if labels_dir is not None:
-        pairs = []
-        for stem, record in sorted(results.items()):
-            label_path = Path(labels_dir) / f"{stem}.txt"
-            if not label_path.exists() or record.final is None:
-                log.warning("no label or final transcription for %s; skipping", stem)
-                continue
-            target = Transcription.from_text(label_path.read_text(encoding="utf-8"), stem)
-            histogram = Counter(options_size(o) for o in record.options.values())
-            pairs.append(
-                EvalPair(
-                    source_id=stem,
-                    predicted=tuple(flatten(record.final)),
-                    target=tuple(flatten(target)),
-                    options_histogram=dict(histogram),
-                )
-            )
-        report = build_report(pairs, resources.model)
+        predictions = (
+            (stem, record.final, options_histogram(record.options.values()))
+            for stem, record in sorted(results.items())
+            if record.final is not None
+        )
+        report = evaluate(predictions, labels_dir, resources.model)
         (out / f"{REPORT_STEM}.json").write_text(report.to_json(), encoding="utf-8")
         (out / f"{REPORT_STEM}.txt").write_text(report.render_text(), encoding="utf-8")
     return CorpusResult(pages=list(results.values()), failures=failures, report=report)

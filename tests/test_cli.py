@@ -3,7 +3,7 @@ import json
 import pytest
 
 from mixtext.cli import _build_parser, _load_config, main
-from mixtext.docmodel import PageRecord
+from mixtext.docmodel import PageRecord, Transcription
 
 DICT_PATH = "tests/data/words_en.txt"
 
@@ -306,6 +306,82 @@ def test_malformed_vector_file_is_exit_1(tmp_path, planted, capsys):
         assert main(["--config", str(config), *command]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "line 2 has 3 components, expected 2" in err
+    # a vector file that is not UTF-8 is named in one line, by every command that loads it
+    vectors.write_bytes(b"move 1 0\n\xff\xfe 0 1\n")
+    image = sorted(planted.input_dir.glob("*.pgm"))[0]
+    for command in (
+        ["evaluate", str(planted.labels_dir), str(planted.labels_dir)],
+        ["run", str(planted.input_dir), "--out", str(tmp_path / "out2")],
+        ["transcribe", str(image)],
+    ):
+        assert main(["--config", str(config), *command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {vectors}: not UTF-8 text") and err.count("\n") == 1
+
+
+def test_bad_dictionary_or_frequency_file_is_exit_1(tmp_path, planted, capsys):
+    words = tmp_path / "words.txt"
+    frequencies = tmp_path / "frequencies.tsv"
+    doc = json.loads(config_json(planted.config))
+    config = tmp_path / "config.json"
+    image = sorted(planted.input_dir.glob("*.pgm"))[0]
+    cases = (
+        (b"alpha\n\xe9t\xe9\n", None, f"error: {words}: not UTF-8 text"),
+        (b"alpha\nbeta\n", b"alpha\t3\nbeta\n", f"error: {frequencies}:2: not word<TAB>count"),
+        (b"alpha\nbeta\n", b"alpha\t3\n\nbeta\tx\n", f"error: {frequencies}:3: not word<TAB>count"),
+        (b"alpha\nbeta\n", b"\xffalpha\t3\n", f"error: {frequencies}: not UTF-8 text"),
+    )
+    for word_bytes, frequency_bytes, message in cases:
+        words.write_bytes(word_bytes)
+        config_doc = {**doc, "dictionary_path": str(words)}
+        if frequency_bytes is not None:
+            frequencies.write_bytes(frequency_bytes)
+            config_doc["frequency_path"] = str(frequencies)
+        config.write_text(json.dumps(config_doc), encoding="utf-8")
+        for command in (
+            ["transcribe", str(image)],
+            ["run", str(planted.input_dir), "--out", str(tmp_path / "out")],
+        ):
+            assert main(["--config", str(config), *command]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(message) and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_prediction_or_label_is_exit_1(tmp_path, capsys):
+    pred = tmp_path / "pred"
+    label = tmp_path / "label"
+    for directory in (pred, label):
+        directory.mkdir()
+        (directory / "doc.txt").write_text("a move to stop\n", encoding="utf-8")
+    for bad in (pred / "doc.txt", label / "doc.txt"):
+        bad.write_bytes(b"a move \xff stop\n")
+        assert main(["evaluate", str(pred), str(label)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8 text") and err.count("\n") == 1
+        bad.write_text("a move to stop\n", encoding="utf-8")
+    assert main(["evaluate", str(pred), str(label)]) == 0
+
+
+def test_missing_directory_is_exit_1(tmp_path, planted, planted_config_file, capsys):
+    missing = tmp_path / "missing"
+    out = tmp_path / "out"
+    run = ["--config", str(planted_config_file), "run"]
+    for argv in (
+        ["build-labels", "--iam-dir", str(missing), "--out", str(out)],
+        ["report", str(missing)],
+        ["evaluate", str(missing), str(planted.labels_dir)],
+        ["evaluate", str(planted.labels_dir), str(missing)],
+        [*run, str(missing), "--out", str(out)],
+        [*run, str(planted.input_dir), "--out", str(out), "--labels", str(missing)],
+        [*run, str(planted.input_dir), "--out", str(out), "--labels", str(planted_config_file)],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(missing) in err or str(planted_config_file) in err
+        # nothing is built, and no page is transcribed, before the check
+        assert not out.exists()
 
 
 def test_build_labels_cli(tmp_path, data_dir, capsys):
@@ -330,6 +406,19 @@ def test_build_labels_bad_form_is_exit_1(tmp_path, capsys):
     code = main(["build-labels", "--iam-dir", str(forms), "--out", str(tmp_path / "labels")])
     assert code == 1
     assert "bad.txt" in capsys.readouterr().err
+
+
+def test_build_labels_counts_a_form_that_is_not_utf8(tmp_path, data_dir, capsys):
+    forms = tmp_path / "forms"
+    forms.mkdir()
+    form_bytes = (data_dir / "iam_form_minimal.txt").read_bytes()
+    (forms / "a01-000u.txt").write_bytes(form_bytes)
+    (forms / "a01-001u.txt").write_bytes(form_bytes.replace(b"MOVE", b"M\xd6VE"))
+    out = tmp_path / "labels"
+    assert main(["build-labels", "--iam-dir", str(forms), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("a01-001u.txt: ") and "not UTF-8 text" in err and err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == ["a01-000u.json", "a01-000u.txt"]
 
 
 def test_report_cli(tmp_path, planted, planted_config_file, capsys):
@@ -362,6 +451,31 @@ def test_report_cli(tmp_path, planted, planted_config_file, capsys):
     assert code == 1
     assert "pages: 3" in captured.out and "words: 100" in captured.out
     assert "cut.json" in captured.err and "eval.json" in captured.err
+
+
+def test_report_skips_the_evaluation_report(tmp_path, planted, planted_config_file, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["--config", str(planted_config_file), "run", str(planted.input_dir), "--out", str(out_dir)]
+    assert main([*argv, "--labels", str(planted.labels_dir)]) == 0
+    assert (out_dir / "report.json").is_file()
+    capsys.readouterr()
+    assert main(["report", str(out_dir)]) == 0
+    captured = capsys.readouterr()
+    assert "pages: 3" in captured.out and "words: 100" in captured.out
+    assert captured.err == ""
+
+
+def test_report_lists_pages_without_words(tmp_path, planted, planted_config_file, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["--config", str(planted_config_file), "run", str(planted.input_dir), "--out", str(out_dir)]
+    assert main(argv) == 0
+    blank = PageRecord("blank", "blank.pgm", (), {}, Transcription(()))
+    (out_dir / "blank.json").write_text(blank.to_json(), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(out_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "pages: 4" in out and "words: 100" in out
+    assert out.endswith("pages with no words: blank\n")
 
 
 def test_flag_overrides_config(tmp_path, planted, planted_config_file):
