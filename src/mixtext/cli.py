@@ -188,7 +188,9 @@ def _cmd_build_labels(args) -> int:
         try:
             printed, handwritten = parse_iam_ascii(read_text(form_path))
         except (LabelFormatError, TextFileError) as exc:
-            print(f"{form_path.name}: {exc}", file=sys.stderr)
+            # a TextFileError names its file already
+            where = "" if isinstance(exc, TextFileError) else f"{form_path.name}: "
+            print(f"{where}{exc}", file=sys.stderr)
             failures += 1
             continue
         label = build_mixed_label(printed, handwritten, form_path.stem)

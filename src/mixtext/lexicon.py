@@ -4,14 +4,18 @@ handwriting recognition and validates its output.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .docmodel import UNK, TextFileError, read_text
-from .metrics import levenshtein
+from .metrics import bit_vector_distance, levenshtein, pattern_masks
 
 LEADING_PUNCT = set("(\"'([{")
 TRAILING_PUNCT = set(".,;:!?\"')]}")
+LANE_BITS = 64
 
 
 def tokenize(text: str) -> list[str]:
@@ -47,10 +51,8 @@ class Dictionary:
         self.words = frozenset(words)
         self.casefold_index = frozenset(w.lower() for w in self.words)
         self.frequencies = dict(frequencies) if frequencies else {}
-        by_length: dict[int, list[str]] = {}
-        for w in self.words:
-            by_length.setdefault(len(w), []).append(w)
-        self._by_length = by_length
+        self._length_index: LengthIndex | None = None
+        self._length_index_lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.words)
@@ -59,9 +61,51 @@ class Dictionary:
         """Case-insensitive membership; the index holds every word in lower case."""
         return word.lower() in self.casefold_index
 
-    def words_near_length(self, length: int, slack: int):
-        for n in range(max(0, length - slack), length + slack + 1):
-            yield from self._by_length.get(n, ())
+    def length_index(self) -> LengthIndex:
+        """The words grouped by length for correction, built on the first
+        miss rather than at load, and once even when threads ask together."""
+        if self._length_index is None:
+            with self._length_index_lock:
+                if self._length_index is None:
+                    self._length_index = LengthIndex(self.words)
+        return self._length_index
+
+
+class LengthIndex:
+    """Words grouped by length, each group with a matrix of its characters as
+    dense codes (row t holds character t of every word, one column a word),
+    so that one query's edit distance to a whole group is numpy work."""
+
+    def __init__(self, words: frozenset[str]):
+        self.dense = {ord(ch): i for i, ch in enumerate(set("".join(words)))}
+        by_length: dict[int, list[str]] = {}
+        for w in words:
+            by_length.setdefault(len(w), []).append(w)
+        self.groups: dict[int, tuple[tuple[str, ...], np.ndarray]] = {}
+        for length, group in by_length.items():
+            text = "".join(group).translate(self.dense).encode("utf-32-le", "surrogatepass")
+            codes = np.frombuffer(text, dtype="<u4").reshape(len(group), length)
+            self.groups[length] = (tuple(group), np.ascontiguousarray(codes.T))
+
+    def near(self, word: str, slack: int):
+        """Yield (words, their distances to word) for each length within slack
+        of the word's. A word of 1 to 64 characters is the pattern of one
+        uint64 lane a candidate; other words go through `levenshtein`."""
+        lanes = 0 < len(word) <= LANE_BITS
+        if lanes:
+            # a character that no dictionary word holds goes to the spare last slot
+            table = np.zeros(len(self.dense) + 1, dtype=np.uint64)
+            for ch, bits in pattern_masks(word).items():
+                table[self.dense.get(ord(ch), -1)] = bits
+        for length in range(max(0, len(word) - slack), len(word) + slack + 1):
+            if length not in self.groups:
+                continue
+            words, codes = self.groups[length]
+            if lanes:
+                ones = np.full(len(words), 2**64 - 1, dtype=np.uint64)
+                yield words, bit_vector_distance(table[codes], len(word), ones)
+            else:
+                yield words, np.array([levenshtein(word, w) for w in words])
 
 
 def load_dictionary(path: str | Path, frequency_path: str | Path | None = None) -> Dictionary:
@@ -113,17 +157,14 @@ def spell_check(
     if dictionary.contains(word):
         return SpellResult(word, True, checker_id)
 
-    best: tuple[int, int, str] | None = None
-    for candidate in dictionary.words_near_length(len(word), max_edit):
-        dist = levenshtein(word, candidate, max_edit)
-        if dist is None:
-            continue
-        key = (dist, -dictionary.frequencies.get(candidate, 0), candidate)
-        if best is None or key < best:
-            best = key
-    if best is None:
+    keys = [
+        (int(distances[i]), -dictionary.frequencies.get(words[i], 0), words[i])
+        for words, distances in dictionary.length_index().near(word, max_edit)
+        for i in np.flatnonzero(distances <= max_edit)
+    ]
+    if not keys:
         return SpellResult(UNK, False, checker_id)
-    return SpellResult(best[2], False, checker_id)
+    return SpellResult(min(keys)[2], False, checker_id)
 
 
 @dataclass(frozen=True)

@@ -15,29 +15,55 @@ HISTOGRAM_METRICS = ("lev_accuracy", "doc_similarity")
 SCALAR_FIELDS = ("lev_accuracy", "doc_similarity", "precision", "recall", "f_score")
 
 
+def pattern_masks(pattern: str) -> dict[str, int]:
+    """For each character of the pattern, the bits of the positions it holds."""
+    masks: dict[str, int] = {}
+    for i, ch in enumerate(pattern):
+        masks[ch] = masks.get(ch, 0) | 1 << i
+    return masks
+
+
+def bit_vector_distance(columns, length: int, ones):
+    """Edit distance from a pattern of `length` >= 1 characters to a text, by
+    Myers' bit-vector recurrence (JACM 1999) in Hyyrö's 2001 formulation for
+    whole strings. Each column is, for one text character, the bits of the
+    pattern positions that hold it (`pattern_masks`).
+
+    `ones` holds the low `length` bits set: a Python int, for one text, or an
+    array of numpy uint64 lanes, one text a lane (length <= 64). Bits above
+    the pattern never reach those below it, so only bit length-1 is read; the
+    mask keeps an int from growing, and in a lane a -1 step wraps while the
+    sum stays exact.
+    """
+    pv, mv, distance = ones, ones & 0, (ones & 0) + length
+    top = length - 1
+    for eq in columns:
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        distance += (ph >> top & 1) - (mh >> top & 1)
+        ph = ph << 1 | 1  # row 0, the distance from the empty pattern, grows by one
+        pv = (mh << 1 | ~(xv | ph)) & ones
+        mv = ph & xv
+    return distance
+
+
 def levenshtein(a: str, b: str, cutoff: int | None = None) -> int | None:
     """Unit-cost edit distance over Unicode scalar values.
 
-    With a cutoff, returns None as soon as the distance provably exceeds it
-    (the length gap does, or every entry of a DP row does).
+    The longer string is the pattern, held in one int, and the shorter one is
+    the text of `bit_vector_distance`. With a cutoff, returns None when the
+    distance exceeds it.
     """
     if a == b:
         return 0
     if cutoff is not None and abs(len(a) - len(b)) > cutoff:
         return None
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        current = [i] + [0] * len(b)
-        for j, cb in enumerate(b, 1):
-            current[j] = min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + (ca != cb),
-            )
-        if cutoff is not None and min(current) > cutoff:
-            return None
-        previous = current
-    distance = previous[-1]
+    if len(a) < len(b):
+        a, b = b, a
+    masks = pattern_masks(a)
+    distance = bit_vector_distance((masks.get(ch, 0) for ch in b), len(a), (1 << len(a)) - 1)
     return None if cutoff is not None and distance > cutoff else distance
 
 

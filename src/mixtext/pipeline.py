@@ -391,7 +391,8 @@ def run_corpus(
 ) -> CorpusResult:
     """Transcribe every image in a directory, writing per-page text and JSON
     checkpoints; with labels, also build the evaluation report. On resume, a
-    readable checkpoint is trusted and an unreadable one is recomputed."""
+    readable checkpoint with a final transcription is trusted, and any other
+    is recomputed."""
     if cfg.machine_printed is None:
         raise ConfigError("no machine_printed recognizer configured")
     resources = load_resources(cfg)
@@ -408,9 +409,14 @@ def run_corpus(
         record_path = out / f"{path.stem}.json"
         if resume and record_path.exists():
             try:
-                return PageRecord.from_json(record_path.read_text(encoding="utf-8"))
+                record = PageRecord.from_json(record_path.read_text(encoding="utf-8"))
             except CHECKPOINT_ERRORS as exc:
                 log.warning("%s: unreadable checkpoint (%s); transcribing again", path.stem, exc)
+            else:
+                if record.final is not None:
+                    return record
+                log.warning("%s: checkpoint has no final transcription; transcribing again",
+                            path.stem)
         record = transcribe_page(path, cfg, resources)
         write_page_outputs(record, out)
         return record
@@ -431,7 +437,6 @@ def run_corpus(
         predictions = (
             (stem, record.final, options_histogram(record.options.values()))
             for stem, record in sorted(results.items())
-            if record.final is not None
         )
         report = evaluate(predictions, labels_dir, resources.model)
         (out / f"{REPORT_STEM}.json").write_text(report.to_json(), encoding="utf-8")

@@ -1,8 +1,12 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import dp_distance
 
+from mixtext import lexicon
 from mixtext.docmodel import UNK
 from mixtext.lexicon import (
     Dictionary,
@@ -152,6 +156,49 @@ def test_spell_check_matches_brute_force(word, vocab):
             assert dp_distance(word, got.corrected) <= 2
 
 
+vocab_chars = st.sampled_from("abABé𝔘😀")
+
+
+@st.composite
+def near_miss(draw, words):
+    """A vocabulary word with up to three edits, or a word of its own."""
+    if draw(st.booleans()):
+        return draw(st.text(vocab_chars, max_size=8))
+    chars = list(draw(st.sampled_from(sorted(words))))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(chars)))
+        if draw(st.booleans()) or not chars:
+            chars.insert(at, draw(vocab_chars))
+        else:
+            chars[min(at, len(chars) - 1)] = draw(vocab_chars)
+    return "".join(chars)
+
+
+@st.composite
+def vocabularies(draw):
+    """Mixed-case, mixed-length words, some longer than a 64-bit lane, with
+    frequencies that tie."""
+    short = draw(st.sets(st.text(vocab_chars, min_size=1, max_size=6), min_size=1, max_size=12))
+    long = draw(st.sets(st.text(vocab_chars, min_size=62, max_size=66), max_size=3))
+    words = short | long
+    counts = st.sampled_from([1, 1, 5])
+    frequencies = draw(st.dictionaries(st.sampled_from(sorted(words)), counts))
+    return words, frequencies
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), vocab=vocabularies(), max_edit=st.sampled_from([1, 2]))
+def test_spell_check_lanes_match_brute_force(data, vocab, max_edit):
+    words, frequencies = vocab
+    d = Dictionary(words, frequencies)
+    word = data.draw(near_miss(words))
+    got = spell_check(word, d, max_edit)
+    if d.contains(word) or (len(word) == 1 and not word.isalnum()):
+        assert got.passed and got.corrected == word
+    else:
+        assert got.corrected == nearest_by_scan(word, d, max_edit)
+
+
 @settings(max_examples=80, deadline=None)
 @given(word=small_words, vocab=st.sets(small_words, min_size=1, max_size=12))
 def test_spell_check_idempotent_on_pass(word, vocab):
@@ -160,6 +207,41 @@ def test_spell_check_idempotent_on_pass(word, vocab):
     if first.corrected != UNK:
         again = spell_check(first.corrected, d)
         assert again.passed
+
+
+def test_threads_share_one_lazily_built_index(english, monkeypatch):
+    words = sorted(english.words)
+    queries = [w[:-1] + "q" for w in words[::97]] + ["zzxq", "thw", "dictionery"]
+    expected = [spell_check(q, Dictionary(english.words)).corrected for q in queries]
+    builds = []
+    build = lexicon.LengthIndex.__init__
+
+    def counting(self, *args):
+        builds.append(threading.get_ident())
+        build(self, *args)
+
+    monkeypatch.setattr(lexicon.LengthIndex, "__init__", counting)
+    fresh = Dictionary(english.words)
+    start = threading.Barrier(8)
+    results: dict[int, list[str]] = {}
+
+    def check_all(n):
+        start.wait()
+        results[n] = [spell_check(q, fresh).corrected for q in queries]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=check_all, args=(n,)) for n in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {n: expected for n in range(8)}
+    assert len(builds) == 1
 
 
 # --- spell_chain ------------------------------------------------------------

@@ -58,6 +58,41 @@ def test_levenshtein_cutoff_matches_dp_oracle(a, b, cutoff):
     assert levenshtein(a, b, cutoff) == (full if full <= cutoff else None)
 
 
+mixed_chars = st.sampled_from("abcAé😀𝔘")
+
+
+@st.composite
+def edit_pairs(draw):
+    """A string of a length around a bit-vector word boundary, or short, and
+    either a few edits of it or an independent string."""
+    size = draw(st.sampled_from([0, 1, 5, 63, 64, 65, 129, 140]))
+    a = draw(st.lists(mixed_chars, min_size=size, max_size=size).map("".join))
+    if draw(st.booleans()):
+        return a, draw(st.text(mixed_chars, max_size=size + 3))
+    b = list(a)
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(b)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if kind == "insert":
+            b.insert(at, draw(mixed_chars))
+        elif b:
+            at = min(at, len(b) - 1)
+            if kind == "delete":
+                del b[at]
+            else:
+                b[at] = draw(mixed_chars)
+    return a, "".join(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=edit_pairs(), cutoff=st.sampled_from([None, 0, 1, 2, 1000]), swap=st.booleans())
+def test_levenshtein_bit_vector_matches_dp_oracle(pair, cutoff, swap):
+    # empty, non-ASCII and astral strings, and patterns either side of 64 and 128 bits
+    a, b = reversed(pair) if swap else pair
+    full = dp_distance(a, b)
+    assert levenshtein(a, b, cutoff) == (full if cutoff is None or full <= cutoff else None)
+
+
 @given(a=short_text, b=short_text, c=short_text)
 def test_levenshtein_metric_axioms(a, b, c):
     assert levenshtein(a, b) == levenshtein(b, a)

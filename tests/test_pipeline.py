@@ -585,6 +585,26 @@ def test_corpus_resume_recomputes_unreadable_checkpoints(tmp_path, planted):
         assert (out / f"{stem}.json").read_text(encoding="utf-8") == record_json
 
 
+def test_corpus_resume_recomputes_checkpoint_without_final(tmp_path, planted, caplog):
+    # a readable checkpoint with no final transcription cannot be scored, so
+    # a resumed run transcribes its page again and the report covers it
+    corpus = planted
+    out = tmp_path / "out"
+    first = run_corpus(corpus.input_dir, corpus.config, out, corpus.labels_dir)
+    expected = {p.source_id: p.to_json() for p in first.pages}
+    stem = sorted(expected)[0]
+    doc = json.loads(expected[stem])
+    doc["final"] = None
+    (out / f"{stem}.json").write_text(json.dumps(doc), encoding="utf-8")
+    caplog.clear()
+    again = run_corpus(corpus.input_dir, corpus.config, out, corpus.labels_dir, resume=True)
+    assert not again.failures
+    assert f"{stem}: checkpoint has no final transcription" in caplog.text
+    assert {p.source_id: p.to_json() for p in again.pages} == expected
+    assert again.report.to_json() == first.report.to_json()
+    assert again.report.document_count() == len(expected)
+
+
 def test_corpus_resume_recomputes_checkpoints_with_unknown_keys(tmp_path, planted, caplog):
     # a checkpoint holds exactly the record's fields: an unknown key at any
     # depth makes it unreadable, so the page is transcribed again
