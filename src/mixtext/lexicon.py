@@ -16,6 +16,7 @@ from .metrics import bit_vector_distance, levenshtein, pattern_masks
 LEADING_PUNCT = set("(\"'([{")
 TRAILING_PUNCT = set(".,;:!?\"')]}")
 LANE_BITS = 64
+SIGNATURE_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 def tokenize(text: str) -> list[str]:
@@ -74,23 +75,44 @@ class Dictionary:
 class LengthIndex:
     """Words grouped by length, each group with a matrix of its characters as
     dense codes (row t holds character t of every word, one column a word),
-    so that one query's edit distance to a whole group is numpy work."""
+    so that one query's edit distance to a whole group is numpy work.
+
+    Each word also has a uint64 signature, bit `code & 63` set for each of its
+    characters. A character of the query whose bit no word character sets
+    must be substituted or deleted, and the same holds the other way round,
+    so `max(popcount(q & ~w), popcount(w & ~q))` never exceeds the edit
+    distance (the bag-distance filter of Bartolini, Ciaccia and Patella,
+    SPIRE 2002); bits shared by several characters only weaken it."""
 
     def __init__(self, words: frozenset[str]):
-        self.dense = {ord(ch): i for i, ch in enumerate(set("".join(words)))}
+        self.dense = {ord(ch): i for i, ch in enumerate(sorted(set("".join(words))))}
         by_length: dict[int, list[str]] = {}
         for w in words:
             by_length.setdefault(len(w), []).append(w)
-        self.groups: dict[int, tuple[tuple[str, ...], np.ndarray]] = {}
+        self.groups: dict[int, tuple[tuple[str, ...], np.ndarray, np.ndarray]] = {}
         for length, group in by_length.items():
             text = "".join(group).translate(self.dense).encode("utf-32-le", "surrogatepass")
             codes = np.frombuffer(text, dtype="<u4").reshape(len(group), length)
-            self.groups[length] = (tuple(group), np.ascontiguousarray(codes.T))
+            codes = np.ascontiguousarray(codes.T)
+            signatures = np.zeros(len(group), dtype=np.uint64)
+            for row in codes:
+                signatures |= SIGNATURE_BITS[row & 63]
+            self.groups[length] = (tuple(group), codes, signatures)
+
+    def signature(self, word: str) -> np.uint64:
+        """The word's signature bits, a character no dictionary word holds
+        taking the bit of the spare code `len(dense)`."""
+        bits = 0
+        for ch in word:
+            bits |= 1 << (self.dense.get(ord(ch), len(self.dense)) & 63)
+        return np.uint64(bits)
 
     def near(self, word: str, slack: int):
         """Yield (words, their distances to word) for each length within slack
-        of the word's. A word of 1 to 64 characters is the pattern of one
-        uint64 lane a candidate; other words go through `levenshtein`."""
+        of the word's, keeping only the words whose signature bound is within
+        slack. A word of 1 to 64 characters is the pattern of one uint64 lane
+        a candidate; other words go through `levenshtein`."""
+        q = self.signature(word)
         lanes = 0 < len(word) <= LANE_BITS
         if lanes:
             # a character that no dictionary word holds goes to the spare last slot
@@ -100,12 +122,24 @@ class LengthIndex:
         for length in range(max(0, len(word) - slack), len(word) + slack + 1):
             if length not in self.groups:
                 continue
-            words, codes = self.groups[length]
+            words, codes, signatures = self.groups[length]
+            keep = np.flatnonzero(_within(q & ~signatures, slack) & _within(signatures & ~q, slack))
+            if not len(keep):
+                continue
+            kept = [words[i] for i in keep]
             if lanes:
-                ones = np.full(len(words), 2**64 - 1, dtype=np.uint64)
-                yield words, bit_vector_distance(table[codes], len(word), ones)
+                ones = np.full(len(keep), 2**64 - 1, dtype=np.uint64)
+                yield kept, bit_vector_distance(table[codes[:, keep]], len(word), ones)
             else:
-                yield words, np.array([levenshtein(word, w) for w in words])
+                yield kept, np.array([levenshtein(word, w) for w in kept])
+
+
+def _within(bits: np.ndarray, count: int) -> np.ndarray:
+    """Whether each uint64 has at most `count` bits set: clear the lowest set
+    bit `count` times and see what is left."""
+    for _ in range(count):
+        bits = bits & (bits - np.uint64(1))
+    return bits == 0
 
 
 def load_dictionary(path: str | Path, frequency_path: str | Path | None = None) -> Dictionary:

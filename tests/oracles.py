@@ -46,6 +46,16 @@ def dp_distance(a: str, b: str) -> int:
     return dist[-1][-1]
 
 
+def median3_by_sort(arr: np.ndarray) -> np.ndarray:
+    """3x3 median with edge padding: `np.median` over the stack of the nine
+    shifted views."""
+    padded = np.pad(arr, 1, mode="edge")
+    stack = np.stack(
+        [padded[dy : dy + arr.shape[0], dx : dx + arr.shape[1]] for dy in range(3) for dx in range(3)]
+    )
+    return np.median(stack, axis=0).astype(np.uint8)
+
+
 def multiset_prf(pred: list[str], target: list[str]) -> tuple[float, float, float]:
     """Precision/recall/F over word multisets, counted by explicit removal."""
     remaining = list(target)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import rotating_skew
+from oracles import median3_by_sort, rotating_skew
 from synth import draw_page, layout_boxes
 
 from mixtext.docmodel import WordBox
@@ -15,6 +15,7 @@ from mixtext.imaging import (
     GeometryError,
     ImageFormatError,
     RasterImage,
+    _median3,
     crop_word,
     enhance,
     estimate_skew,
@@ -333,6 +334,30 @@ def test_enhance_preserves_dimensions(width, height, seed):
     img = RasterImage.from_array(rng.integers(0, 256, size=(height, width), dtype=np.uint8))
     out = enhance(img)
     assert (out.width, out.height) == (width, height)
+
+
+@st.composite
+def median_inputs(draw):
+    """Pages of 1x1, 1xn, nx1 or random shape up to 40x40, holding random,
+    bilevel or constant values."""
+    n = st.integers(1, 40)
+    shape = draw(st.sampled_from([(1, 1), (1, None), (None, 1), (None, None)]))
+    height, width = (draw(n) if side is None else side for side in shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = draw(st.sampled_from(["random", "bilevel", "constant"]))
+    if values == "random":
+        return rng.integers(0, 256, size=(height, width), dtype=np.uint8)
+    if values == "bilevel":
+        return np.where(rng.random((height, width)) < 0.5, 0, 255).astype(np.uint8)
+    return np.full((height, width), draw(st.integers(0, 255)), dtype=np.uint8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(median_inputs())
+def test_median3_network_matches_sort(arr):
+    got = _median3(arr)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, median3_by_sort(arr))
 
 
 def test_enhance_external_identity(tmp_path):

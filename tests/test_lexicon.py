@@ -160,17 +160,17 @@ vocab_chars = st.sampled_from("abABé𝔘😀")
 
 
 @st.composite
-def near_miss(draw, words):
+def near_miss(draw, words, alphabet=vocab_chars):
     """A vocabulary word with up to three edits, or a word of its own."""
     if draw(st.booleans()):
-        return draw(st.text(vocab_chars, max_size=8))
+        return draw(st.text(alphabet, max_size=8))
     chars = list(draw(st.sampled_from(sorted(words))))
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(chars)))
         if draw(st.booleans()) or not chars:
-            chars.insert(at, draw(vocab_chars))
+            chars.insert(at, draw(alphabet))
         else:
-            chars[min(at, len(chars) - 1)] = draw(vocab_chars)
+            chars[min(at, len(chars) - 1)] = draw(alphabet)
     return "".join(chars)
 
 
@@ -197,6 +197,84 @@ def test_spell_check_lanes_match_brute_force(data, vocab, max_edit):
         assert got.passed and got.corrected == word
     else:
         assert got.corrected == nearest_by_scan(word, d, max_edit)
+
+
+# 80 letters, more than a signature has bits, so that characters share bits;
+# the dictionaries below hold all of them, and never the last four
+wide_chars = (
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZαβγδεζηθικλμνξοπρστυφχψω"
+    "éß𝔘😀"
+)
+absent_chars = "жщ𝔙🙂"
+query_chars = st.sampled_from(wide_chars + absent_chars)
+
+
+@st.composite
+def wide_vocabularies(draw):
+    """Words that together hold every character of wide_chars, plus some
+    drawn at random, with frequencies that tie."""
+    order = draw(st.permutations(wide_chars))
+    cuts = sorted(draw(st.sets(st.integers(1, len(order) - 1), min_size=8, max_size=20)))
+    words = {"".join(order[i:j]) for i, j in zip([0] + cuts, cuts + [len(order)])}
+    words |= draw(st.sets(st.text(st.sampled_from(wide_chars), min_size=1, max_size=7), max_size=10))
+    frequencies = draw(st.dictionaries(st.sampled_from(sorted(words)), st.sampled_from([1, 1, 5])))
+    return words, frequencies
+
+
+def test_dense_codes_follow_code_point_order():
+    index = lexicon.LengthIndex(frozenset({"zeta", "Éa", "ab", "𝔘b", "-x"}))
+    assert list(index.dense) == sorted(index.dense)
+    assert list(index.dense.values()) == list(range(len(index.dense)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), vocab=wide_vocabularies(), slack=st.sampled_from([1, 2]))
+def test_signature_bound_never_exceeds_distance(data, vocab, slack):
+    words, _ = vocab
+    index = lexicon.LengthIndex(frozenset(words))
+    assert len(index.dense) > 64
+    word = data.draw(near_miss(words, query_chars))
+    q = int(index.signature(word))
+    kept = {w for group, _ in index.near(word, slack) for w in group}
+    for length, (group, _, signatures) in index.groups.items():
+        for w, s in zip(group, signatures.tolist()):
+            bound = max(bin(q & ~s).count("1"), bin(s & ~q).count("1"))
+            assert bound <= dp_distance(word, w)
+            assert (w in kept) == (abs(length - len(word)) <= slack and bound <= slack)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), vocab=wide_vocabularies(), max_edit=st.sampled_from([1, 2]))
+def test_spell_check_on_a_wide_alphabet_matches_brute_force(data, vocab, max_edit):
+    words, frequencies = vocab
+    d = Dictionary(words, frequencies)
+    word = data.draw(near_miss(words, query_chars))
+    got = spell_check(word, d, max_edit)
+    if d.contains(word) or (len(word) == 1 and not word.isalnum()):
+        assert got.passed and got.corrected == word
+    else:
+        assert got.corrected == nearest_by_scan(word, d, max_edit)
+
+
+def test_signature_filter_skips_lanes(english, monkeypatch):
+    lanes = []
+    kernel = lexicon.bit_vector_distance
+
+    def counting(columns, length, ones):
+        lanes.append(len(ones))
+        return kernel(columns, length, ones)
+
+    monkeypatch.setattr(lexicon, "bit_vector_distance", counting)
+    d = Dictionary(english.words)
+    # absent characters all share the spare bit, a bound of 1, so the miss is
+    # long enough that every word of its length window has 3 or more distinct
+    # characters
+    assert spell_check("жжжжжжжжжж", d).corrected == UNK
+    assert sum(lanes) == 0
+    lanes.clear()
+    assert spell_check("dictionery", d).corrected == "dictionary"
+    window = sum(1 for w in english.words if abs(len(w) - len("dictionery")) <= 2)
+    assert 0 < sum(lanes) < window
 
 
 @settings(max_examples=80, deadline=None)
