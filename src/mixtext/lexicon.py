@@ -5,6 +5,7 @@ handwriting recognition and validates its output.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,7 +64,7 @@ class Dictionary:
         return word.lower() in self.casefold_index
 
     def length_index(self) -> LengthIndex:
-        """The words grouped by length for correction, built on the first
+        """The words sorted by length for correction, built on the first
         miss rather than at load, and once even when threads ask together."""
         if self._length_index is None:
             with self._length_index_lock:
@@ -73,11 +74,12 @@ class Dictionary:
 
 
 class LengthIndex:
-    """Words grouped by length, each group with a matrix of its characters as
-    dense codes (row t holds character t of every word, one column a word),
-    so that one query's edit distance to a whole group is numpy work.
+    """The words sorted by length, with aligned arrays: their `lengths`, their
+    `codes` (row t holds character t of every word as a dense code, and the
+    spare code `len(dense)` past a word's end) and their `signatures`. The
+    words of a length window are one slice, and one numpy kernel run.
 
-    Each word also has a uint64 signature, bit `code & 63` set for each of its
+    A word's uint64 signature has bit `code & 63` set for each of its
     characters. A character of the query whose bit no word character sets
     must be substituted or deleted, and the same holds the other way round,
     so `max(popcount(q & ~w), popcount(w & ~q))` never exceeds the edit
@@ -86,18 +88,19 @@ class LengthIndex:
 
     def __init__(self, words: frozenset[str]):
         self.dense = {ord(ch): i for i, ch in enumerate(sorted(set("".join(words))))}
-        by_length: dict[int, list[str]] = {}
-        for w in words:
-            by_length.setdefault(len(w), []).append(w)
-        self.groups: dict[int, tuple[tuple[str, ...], np.ndarray, np.ndarray]] = {}
-        for length, group in by_length.items():
-            text = "".join(group).translate(self.dense).encode("utf-32-le", "surrogatepass")
-            codes = np.frombuffer(text, dtype="<u4").reshape(len(group), length)
-            codes = np.ascontiguousarray(codes.T)
-            signatures = np.zeros(len(group), dtype=np.uint64)
-            for row in codes:
-                signatures |= SIGNATURE_BITS[row & 63]
-            self.groups[length] = (tuple(group), codes, signatures)
+        self.words = sorted(words, key=len)
+        width = len(self.words[-1]) if self.words else 0
+        # starts[n] is the first word of length n or more
+        starts = [bisect_left(self.words, n, key=len) for n in range(width + 2)]
+        self.lengths = np.repeat(np.arange(width + 1), np.diff(starts))
+        spare = len(self.dense)
+        self.codes = np.full((width, len(self.words)), spare, dtype=np.min_scalar_type(spare))
+        for length, (a, b) in enumerate(zip(starts, starts[1:])):
+            text = "".join(self.words[a:b]).translate(self.dense).encode("utf-32-le", "surrogatepass")
+            self.codes[:length, a:b] = np.frombuffer(text, dtype="<u4").reshape(b - a, length).T
+        self.signatures = np.zeros(len(self.words), dtype=np.uint64)
+        for row, first in zip(self.codes, starts[1:]):
+            self.signatures[first:] |= SIGNATURE_BITS[row[first:] & 63]
 
     def signature(self, word: str) -> np.uint64:
         """The word's signature bits, a character no dictionary word holds
@@ -107,31 +110,24 @@ class LengthIndex:
             bits |= 1 << (self.dense.get(ord(ch), len(self.dense)) & 63)
         return np.uint64(bits)
 
-    def near(self, word: str, slack: int):
-        """Yield (words, their distances to word) for each length within slack
-        of the word's, keeping only the words whose signature bound is within
-        slack. A word of 1 to 64 characters is the pattern of one uint64 lane
-        a candidate; other words go through `levenshtein`."""
+    def near(self, word: str, slack: int) -> tuple[np.ndarray, np.ndarray]:
+        """The positions in `words` of the words within slack of the word's
+        length whose signature bound is within slack, and their distances to
+        it. A word of 1 to 64 characters is the pattern of one uint64 lane a
+        candidate, read at its length; others go through `levenshtein`."""
+        first = np.searchsorted(self.lengths, len(word) - slack)
+        signatures = self.signatures[first : np.searchsorted(self.lengths, len(word) + slack, "right")]
         q = self.signature(word)
-        lanes = 0 < len(word) <= LANE_BITS
-        if lanes:
-            # a character that no dictionary word holds goes to the spare last slot
-            table = np.zeros(len(self.dense) + 1, dtype=np.uint64)
-            for ch, bits in pattern_masks(word).items():
-                table[self.dense.get(ord(ch), -1)] = bits
-        for length in range(max(0, len(word) - slack), len(word) + slack + 1):
-            if length not in self.groups:
-                continue
-            words, codes, signatures = self.groups[length]
-            keep = np.flatnonzero(_within(q & ~signatures, slack) & _within(signatures & ~q, slack))
-            if not len(keep):
-                continue
-            kept = [words[i] for i in keep]
-            if lanes:
-                ones = np.full(len(keep), 2**64 - 1, dtype=np.uint64)
-                yield kept, bit_vector_distance(table[codes[:, keep]], len(word), ones)
-            else:
-                yield kept, np.array([levenshtein(word, w) for w in kept])
+        keep = first + np.flatnonzero(_within(q & ~signatures, slack) & _within(signatures & ~q, slack))
+        if not (0 < len(word) <= LANE_BITS and len(keep)):
+            return keep, np.array([levenshtein(word, self.words[i]) for i in keep.tolist()])
+        # a character that no dictionary word holds goes to the spare last slot
+        table = np.zeros(len(self.dense) + 1, dtype=np.uint64)
+        for ch, bits in pattern_masks(word).items():
+            table[self.dense.get(ord(ch), -1)] = bits
+        ends = self.lengths[keep]
+        ones = np.full(len(keep), 2**64 - 1, dtype=np.uint64)
+        return keep, bit_vector_distance(table[self.codes[: ends.max(), keep]], len(word), ones, ends)
 
 
 def _within(bits: np.ndarray, count: int) -> np.ndarray:
@@ -191,14 +187,14 @@ def spell_check(
     if dictionary.contains(word):
         return SpellResult(word, True, checker_id)
 
+    index = dictionary.length_index()
+    keep, distances = index.near(word, max_edit)
+    close = distances <= max_edit
     keys = [
-        (int(distances[i]), -dictionary.frequencies.get(words[i], 0), words[i])
-        for words, distances in dictionary.length_index().near(word, max_edit)
-        for i in np.flatnonzero(distances <= max_edit)
+        (distance, -dictionary.frequencies.get(index.words[i], 0), index.words[i])
+        for i, distance in zip(keep[close].tolist(), distances[close].tolist())
     ]
-    if not keys:
-        return SpellResult(UNK, False, checker_id)
-    return SpellResult(min(keys)[2], False, checker_id)
+    return SpellResult(min(keys, default=(0, 0, UNK))[2], False, checker_id)
 
 
 @dataclass(frozen=True)
@@ -208,10 +204,9 @@ class SpellChecker:
     dictionary: Dictionary
     max_edit: int = 2
     checker_id: str = "builtin"
-    bypass_digits: bool = True
 
     def check(self, word: str) -> SpellResult:
-        return spell_check(word, self.dictionary, self.max_edit, self.checker_id, self.bypass_digits)
+        return spell_check(word, self.dictionary, self.max_edit, self.checker_id)
 
 
 def spell_chain(word: str, checkers) -> SpellResult:

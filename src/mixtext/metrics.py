@@ -23,7 +23,7 @@ def pattern_masks(pattern: str) -> dict[str, int]:
     return masks
 
 
-def bit_vector_distance(columns, length: int, ones):
+def bit_vector_distance(columns, length: int, ones, ends=None):
     """Edit distance from a pattern of `length` >= 1 characters to a text, by
     Myers' bit-vector recurrence (JACM 1999) in Hyyrö's 2001 formulation for
     whole strings. Each column is, for one text character, the bits of the
@@ -34,15 +34,20 @@ def bit_vector_distance(columns, length: int, ones):
     the pattern never reach those below it, so only bit length-1 is read; the
     mask keeps an int from growing, and in a lane a -1 step wraps while the
     sum stays exact.
+
+    With `ends`, one text length a lane, a lane stops counting after its own
+    last column, so that texts of different lengths share one run (Hyyrö,
+    Fredriksson and Navarro's multiple-string packing, JEA 2005).
     """
     pv, mv, distance = ones, ones & 0, (ones & 0) + length
     top = length - 1
-    for eq in columns:
+    for t, eq in enumerate(columns, 1):
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
-        distance += (ph >> top & 1) - (mh >> top & 1)
+        step = (ph >> top & 1) - (mh >> top & 1)
+        distance += step if ends is None else step * (ends >= t)
         ph = ph << 1 | 1  # row 0, the distance from the empty pattern, grows by one
         pv = (mh << 1 | ~(xv | ph)) & ones
         mv = ph & xv

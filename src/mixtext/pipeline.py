@@ -351,8 +351,18 @@ def write_page_outputs(record: PageRecord, out: Path) -> None:
     is refused."""
     assert record.final is not None
     _refuse_reserved_stem(record.source_id)
-    (out / f"{record.source_id}.txt").write_text(record.final.to_text(), encoding="utf-8")
-    (out / f"{record.source_id}.json").write_text(record.to_json(), encoding="utf-8")
+    _write_atomically(out / f"{record.source_id}.txt", record.final.to_text())
+    _write_atomically(out / f"{record.source_id}.json", record.to_json())
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Write beside the path, then rename over it: a crash leaves no part-file."""
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        temp.write_text(text, encoding="utf-8")
+        temp.replace(path)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 def _refuse_reserved_stem(stem: str) -> None:
@@ -439,6 +449,6 @@ def run_corpus(
             for stem, record in sorted(results.items())
         )
         report = evaluate(predictions, labels_dir, resources.model)
-        (out / f"{REPORT_STEM}.json").write_text(report.to_json(), encoding="utf-8")
-        (out / f"{REPORT_STEM}.txt").write_text(report.render_text(), encoding="utf-8")
+        _write_atomically(out / f"{REPORT_STEM}.json", report.to_json())
+        _write_atomically(out / f"{REPORT_STEM}.txt", report.render_text())
     return CorpusResult(pages=list(results.values()), failures=failures, report=report)

@@ -11,6 +11,7 @@ from mixtext.docmodel import UNK
 from mixtext.lexicon import (
     Dictionary,
     SpellChecker,
+    SpellResult,
     dictionary_score,
     load_dictionary,
     spell_chain,
@@ -235,12 +236,13 @@ def test_signature_bound_never_exceeds_distance(data, vocab, slack):
     assert len(index.dense) > 64
     word = data.draw(near_miss(words, query_chars))
     q = int(index.signature(word))
-    kept = {w for group, _ in index.near(word, slack) for w in group}
-    for length, (group, _, signatures) in index.groups.items():
-        for w, s in zip(group, signatures.tolist()):
-            bound = max(bin(q & ~s).count("1"), bin(s & ~q).count("1"))
-            assert bound <= dp_distance(word, w)
-            assert (w in kept) == (abs(length - len(word)) <= slack and bound <= slack)
+    kept = {index.words[i] for i in index.near(word, slack)[0]}
+    assert sorted(index.words) == sorted(words)
+    for w, length, s in zip(index.words, index.lengths.tolist(), index.signatures.tolist()):
+        assert length == len(w)
+        bound = max(bin(q & ~s).count("1"), bin(s & ~q).count("1"))
+        assert bound <= dp_distance(word, w)
+        assert (w in kept) == (abs(length - len(word)) <= slack and bound <= slack)
 
 
 @settings(max_examples=150, deadline=None)
@@ -258,13 +260,20 @@ def test_spell_check_on_a_wide_alphabet_matches_brute_force(data, vocab, max_edi
 
 def test_signature_filter_skips_lanes(english, monkeypatch):
     lanes = []
+    filtered = []
     kernel = lexicon.bit_vector_distance
+    within = lexicon._within
 
-    def counting(columns, length, ones):
+    def counting(columns, length, ones, ends=None):
         lanes.append(len(ones))
-        return kernel(columns, length, ones)
+        return kernel(columns, length, ones, ends)
+
+    def counting_within(bits, count):
+        filtered.append(len(bits))
+        return within(bits, count)
 
     monkeypatch.setattr(lexicon, "bit_vector_distance", counting)
+    monkeypatch.setattr(lexicon, "_within", counting_within)
     d = Dictionary(english.words)
     # absent characters all share the spare bit, a bound of 1, so the miss is
     # long enough that every word of its length window has 3 or more distinct
@@ -272,9 +281,21 @@ def test_signature_filter_skips_lanes(english, monkeypatch):
     assert spell_check("жжжжжжжжжж", d).corrected == UNK
     assert sum(lanes) == 0
     lanes.clear()
+    filtered.clear()
     assert spell_check("dictionery", d).corrected == "dictionary"
     window = sum(1 for w in english.words if abs(len(w) - len("dictionery")) <= 2)
+    # one filter (its two bounds) over the whole length window, one kernel call
+    assert filtered == [window, window]
+    assert len(lanes) == 1
     assert 0 < sum(lanes) < window
+
+
+@pytest.mark.parametrize("words", [(), ("word", "x" * 80)], ids=["empty", "outside"])
+@pytest.mark.parametrize("word", ["", "a", "q" * 70], ids=["blank", "a", "70q"])
+@pytest.mark.parametrize("max_edit", [1, 2])
+def test_miss_with_no_word_in_its_length_window_is_unk(words, word, max_edit):
+    result = spell_check(word, Dictionary(words), max_edit)
+    assert result == SpellResult(UNK, False, "builtin")
 
 
 @settings(max_examples=80, deadline=None)

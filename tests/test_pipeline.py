@@ -1,6 +1,7 @@
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -562,6 +563,39 @@ def test_corpus_text_written_before_checkpoint(tmp_path, planted, monkeypatch):
     for record in again.pages:
         text = (out / f"{record.source_id}.txt").read_text(encoding="utf-8")
         assert text == record.final.to_text()
+
+
+@pytest.mark.parametrize("fault", ["torn write", "failed rename"])
+def test_corpus_rerun_crash_keeps_earlier_outputs_whole(tmp_path, planted, monkeypatch, fault):
+    # a rerun that fails while rewriting a page's text must leave the earlier
+    # text whole beside the checkpoint that --resume trusts, and no temp file
+    corpus = planted
+    out = tmp_path / "out"
+    run_corpus(corpus.input_dir, corpus.config, out)
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    stem = sorted(corpus.truths)[0]
+    if fault == "torn write":
+        write_text = Path.write_text
+
+        def torn(self, data, *args, **kwargs):
+            if self.name.startswith(f"{stem}.txt"):
+                write_text(self, data[: len(data) // 2], *args, **kwargs)
+                raise OSError("disk full")
+            return write_text(self, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", torn)
+    else:
+        rename = Path.replace
+
+        def failing(self, target):
+            if Path(target).name == f"{stem}.txt":
+                raise OSError("rename failed")
+            return rename(self, target)
+
+        monkeypatch.setattr(Path, "replace", failing)
+    again = run_corpus(corpus.input_dir, corpus.config, out)
+    assert set(again.failures) == {stem}
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_corpus_resume_recomputes_unreadable_checkpoints(tmp_path, planted):
