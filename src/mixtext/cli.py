@@ -25,6 +25,7 @@ from .pipeline import (
     ConfigError,
     PageError,
     PipelineConfig,
+    _write_atomically,
     embedding_model_from_config,
     evaluate,
     page_files,
@@ -174,7 +175,7 @@ def _cmd_evaluate(args) -> int:
     predictions = ((p.stem, Transcription.read(p), {}) for p in page_files(args.pred_dir, ".txt"))
     report = evaluate(predictions, args.label_dir, embedding_model_from_config(cfg))
     if args.out:
-        Path(args.out).write_text(report.to_json(), encoding="utf-8")
+        _write_atomically(Path(args.out), report.to_json())
     print(report.render_text(), end="")
     return 0
 
@@ -194,7 +195,7 @@ def _cmd_build_labels(args) -> int:
             failures += 1
             continue
         label = build_mixed_label(printed, handwritten, form_path.stem)
-        (out / form_path.name).write_text(label.to_text(), encoding="utf-8")
+        _write_atomically(out / form_path.name, label.to_text())
         handwritten_tokens = sum(len(line) for line in handwritten)
         sidecar = {
             "source_id": form_path.stem,
@@ -202,9 +203,7 @@ def _cmd_build_labels(args) -> int:
             "handwritten_tokens": handwritten_tokens,
             "total_tokens": label.word_count(),
         }
-        (out / f"{form_path.stem}.json").write_text(
-            json.dumps(sidecar, indent=2), encoding="utf-8"
-        )
+        _write_atomically(out / f"{form_path.stem}.json", json.dumps(sidecar, indent=2))
     return 1 if failures else 0
 
 

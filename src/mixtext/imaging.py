@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .docmodel import WordBox
 
@@ -23,6 +24,8 @@ BINARIZE_THRESHOLD = 128  # fixed ink threshold for projection profiles
 DEFAULT_DESKEW_RANGE = 15.0
 DEFAULT_DESKEW_STEP = 0.5
 DEFAULT_PAD_PIXELS = 10
+
+_ROTATE_BAND_ROWS = 64  # output rows a bilinear rotation computes at once
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
@@ -143,13 +146,18 @@ def _decode_png(data: bytes) -> RasterImage:
         length = int.from_bytes(data[pos : pos + 4], "big")
         ctype = data[pos + 4 : pos + 8]
         body = data[pos + 8 : pos + 8 + length]
-        if len(body) != length:
+        crc = data[pos + 8 + length : pos + 12 + length]
+        if len(body) != length or len(crc) != 4:
             raise ImageFormatError("truncated PNG chunk")
+        if zlib.crc32(body, zlib.crc32(ctype)) != int.from_bytes(crc, "big"):
+            raise ImageFormatError(f"PNG {ctype.decode('latin-1')} chunk CRC mismatch")
         if ctype == b"IHDR":
             if length != 13:
                 raise ImageFormatError(f"PNG IHDR chunk of {length} bytes, not 13")
             width = int.from_bytes(body[0:4], "big")
             height = int.from_bytes(body[4:8], "big")
+            if width == 0 or height == 0:
+                raise ImageFormatError(f"PNG IHDR gives an empty {width}x{height} image")
             bit_depth, color_type, _, _, interlace = body[8:13]
             if bit_depth != 8 or color_type not in (0, 2) or interlace != 0:
                 raise ImageFormatError(
@@ -170,8 +178,7 @@ def _decode_png(data: bytes) -> RasterImage:
     stride = width * channels
     if len(raw) != (stride + 1) * height:
         raise ImageFormatError("PNG pixel data has wrong length")
-    flat = _unfilter_scanlines(raw, height, stride, channels)
-    arr = np.frombuffer(flat, dtype=np.uint8).reshape(height, width, channels)
+    arr = _unfilter_scanlines(raw, height, stride, channels).reshape(height, width, channels)
     if channels == 1:
         return RasterImage(arr[:, :, 0])
     rgb = arr.astype(np.uint32)
@@ -180,41 +187,43 @@ def _decode_png(data: bytes) -> RasterImage:
     return RasterImage(lum.astype(np.uint8))
 
 
-def _unfilter_scanlines(raw: bytes, height: int, stride: int, bpp: int) -> bytearray:
-    out = bytearray(height * stride)
-    prev_row = bytearray(stride)
-    for row in range(height):
-        base = row * (stride + 1)
-        ftype = raw[base]
-        line = bytearray(raw[base + 1 : base + 1 + stride])
-        if ftype == 1:  # Sub
-            for i in range(bpp, stride):
-                line[i] = (line[i] + line[i - bpp]) & 0xFF
-        elif ftype == 2:  # Up
-            for i in range(stride):
-                line[i] = (line[i] + prev_row[i]) & 0xFF
-        elif ftype == 3:  # Average
-            for i in range(stride):
-                left = line[i - bpp] if i >= bpp else 0
-                line[i] = (line[i] + (left + prev_row[i]) // 2) & 0xFF
-        elif ftype == 4:  # Paeth
-            for i in range(stride):
-                left = line[i - bpp] if i >= bpp else 0
-                up = prev_row[i]
-                up_left = prev_row[i - bpp] if i >= bpp else 0
-                p = left + up - up_left
-                pa, pb, pc = abs(p - left), abs(p - up), abs(p - up_left)
-                if pa <= pb and pa <= pc:
-                    pred = left
-                elif pb <= pc:
-                    pred = up
-                else:
-                    pred = up_left
-                line[i] = (line[i] + pred) & 0xFF
-        elif ftype != 0:
-            raise ImageFormatError(f"unknown PNG filter type {ftype}")
-        out[row * stride : (row + 1) * stride] = line
-        prev_row = line
+def _unfilter_scanlines(raw: bytes, height: int, stride: int, bpp: int) -> np.ndarray:
+    """Undo PNG's per-row filters, one anti-diagonal of pixels at a time.
+
+    A byte's predictors are the bytes one pixel left, up and up-left of it,
+    so pixel d - r of every row r (anti-diagonal d) depends only on diagonals
+    d - 1 and d - 2, and each diagonal is one vector step (Lamport's
+    wavefront, "The parallel execution of DO loops", CACM 1974). Sheared
+    views put diagonal d of the filtered rows and of the output at index d.
+    An int16 table holds, with row r at r + 1 so that row -1 reads 0, five
+    slots: zeros, the last two diagonals (alternating), and the Average and
+    Paeth predictors; each row takes its predictor from it by its filter.
+    """
+    filtered = np.frombuffer(raw, dtype=np.uint8)
+    filters = filtered[:: stride + 1, None]
+    bad = np.flatnonzero(filters > 4)
+    if bad.size:
+        raise ImageFormatError(f"unknown PNG filter type {filters[bad[0], 0]} in row {bad[0]}")
+    width = stride // bpp
+    shape = (height + width - 1, height, bpp)
+    src = as_strided(filtered[1:], shape, (bpp, stride + 1 - bpp, 1), writeable=False)
+    out = np.empty((height, stride), dtype=np.uint8)
+    dst = as_strided(out, shape, (bpp, stride - bpp, 1))
+    table = np.zeros((5, height + 1, bpp), dtype=np.int16)
+    # by d % 2 and filter type: the slot and row of each byte's predictor
+    slots = np.array([[0, 2, 2, 3, 4], [0, 1, 1, 3, 4]])[:, filters] * table[0].size
+    picks = slots + np.arange(bpp, (height + 1) * bpp).reshape(height, bpp) - bpp * (filters == 2)
+    average, paeth = table[3], table[4]
+    for d in range(shape[0]):
+        lo, hi = max(0, d - width + 1), min(height, d + 1)
+        last, before = table[2 - d % 2], table[1 + d % 2]
+        left, up, up_left = last[lo + 1 : hi + 1], last[lo:hi], before[lo:hi]
+        average[lo + 1 : hi + 1] = (left + up) >> 1
+        pa, pb, pc = abs(up - up_left), abs(left - up_left), abs(left + up - 2 * up_left)
+        near = np.where(pb <= pc, up, up_left)
+        paeth[lo + 1 : hi + 1] = np.where(pa <= np.minimum(pb, pc), left, near)
+        pred = table.take(picks[d % 2, lo:hi])
+        before[lo + 1 : hi + 1] = dst[d, lo:hi] = (src[d, lo:hi] + pred) & 0xFF
     return out
 
 
@@ -389,24 +398,26 @@ def _rotate_bilinear(img: RasterImage, angle_degrees: float) -> RasterImage:
     out_w = int(math.ceil(abs(w * cos_a) + abs(h * sin_a)))
     out_h = int(math.ceil(abs(h * cos_a) + abs(w * sin_a)))
 
-    yo, xo = np.ogrid[0:out_h, 0:out_w]
-    dxo = xo - (out_w - 1) / 2.0
-    dyo = yo - (out_h - 1) / 2.0
-    # Inverse map: rotate output offsets by -angle back into source space.
-    src_x = dxo * cos_a - dyo * sin_a + (w - 1) / 2.0
-    src_y = dxo * sin_a + dyo * cos_a + (h - 1) / 2.0
-
-    x0 = np.floor(src_x).astype(np.int64)
-    y0 = np.floor(src_y).astype(np.int64)
-    fx = src_x - x0
-    fy = src_y - y0
+    dxo = np.arange(out_w) - (out_w - 1) / 2.0
     # the page inside a one-pixel white ring: a tap off the page reads the ring
-    ringed = np.pad(img.to_array().astype(np.float64), 1, constant_values=255.0)
-    acc = np.zeros((out_h, out_w), dtype=np.float64)
-    for oy, wy in ((0, 1 - fy), (1, fy)):
-        for ox, wx in ((0, 1 - fx), (1, fx)):
-            acc += wx * wy * ringed[np.clip(y0 + oy, -1, h) + 1, np.clip(x0 + ox, -1, w) + 1]
-    return RasterImage.from_array(acc)
+    ringed = np.pad(img.to_array(), 1, constant_values=255).ravel()
+    out = np.empty((out_h, out_w), dtype=np.uint8)
+    for top in range(0, out_h, _ROTATE_BAND_ROWS):
+        dyo = (np.arange(top, min(top + _ROTATE_BAND_ROWS, out_h)) - (out_h - 1) / 2.0)[:, None]
+        # Inverse map: rotate output offsets by -angle back into source space.
+        src_x = dxo * cos_a - dyo * sin_a + (w - 1) / 2.0
+        src_y = dxo * sin_a + dyo * cos_a + (h - 1) / 2.0
+        x0 = np.floor(src_x).astype(np.int64)
+        y0 = np.floor(src_y).astype(np.int64)
+        fx = src_x - x0
+        fy = src_y - y0
+        acc = np.zeros(src_x.shape)
+        for oy, wy in ((0, 1 - fy), (1, fy)):
+            row = (np.clip(y0 + oy, -1, h) + 1) * (w + 2) + 1
+            for ox, wx in ((0, 1 - fx), (1, fx)):
+                acc += wx * wy * ringed[row + np.clip(x0 + ox, -1, w)]
+        out[top : top + len(dyo)] = np.clip(np.rint(acc), 0, 255)
+    return RasterImage(out)
 
 
 def crop_word(img: RasterImage, box: WordBox, pad_pixels: int = DEFAULT_PAD_PIXELS) -> RasterImage:

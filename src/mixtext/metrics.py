@@ -54,22 +54,18 @@ def bit_vector_distance(columns, length: int, ones, ends=None):
     return distance
 
 
-def levenshtein(a: str, b: str, cutoff: int | None = None) -> int | None:
+def levenshtein(a: str, b: str) -> int:
     """Unit-cost edit distance over Unicode scalar values.
 
     The longer string is the pattern, held in one int, and the shorter one is
-    the text of `bit_vector_distance`. With a cutoff, returns None when the
-    distance exceeds it.
+    the text of `bit_vector_distance`.
     """
     if a == b:
         return 0
-    if cutoff is not None and abs(len(a) - len(b)) > cutoff:
-        return None
     if len(a) < len(b):
         a, b = b, a
     masks = pattern_masks(a)
-    distance = bit_vector_distance((masks.get(ch, 0) for ch in b), len(a), (1 << len(a)) - 1)
-    return None if cutoff is not None and distance > cutoff else distance
+    return bit_vector_distance((masks.get(ch, 0) for ch in b), len(a), (1 << len(a)) - 1)
 
 
 def lev_accuracy(pred: str, target: str) -> float:

@@ -4,6 +4,7 @@ paths. Tests compare package output against these.
 
 from __future__ import annotations
 
+import math
 import xml.parsers.expat
 
 import numpy as np
@@ -20,6 +21,7 @@ from mixtext.imaging import (
     BINARIZE_THRESHOLD,
     DEFAULT_DESKEW_RANGE,
     DEFAULT_DESKEW_STEP,
+    ImageFormatError,
     RasterImage,
     SkewEstimate,
     rotate,
@@ -54,6 +56,75 @@ def median3_by_sort(arr: np.ndarray) -> np.ndarray:
         [padded[dy : dy + arr.shape[0], dx : dx + arr.shape[1]] for dy in range(3) for dx in range(3)]
     )
     return np.median(stack, axis=0).astype(np.uint8)
+
+
+def unfilter_by_loop(raw: bytes, height: int, stride: int, bpp: int) -> bytearray:
+    """Undo PNG's per-row filters byte by byte, row after row (the loop
+    `mixtext.imaging._unfilter_scanlines` replaced)."""
+    out = bytearray(height * stride)
+    prev_row = bytearray(stride)
+    for row in range(height):
+        base = row * (stride + 1)
+        ftype = raw[base]
+        line = bytearray(raw[base + 1 : base + 1 + stride])
+        if ftype == 1:  # Sub
+            for i in range(bpp, stride):
+                line[i] = (line[i] + line[i - bpp]) & 0xFF
+        elif ftype == 2:  # Up
+            for i in range(stride):
+                line[i] = (line[i] + prev_row[i]) & 0xFF
+        elif ftype == 3:  # Average
+            for i in range(stride):
+                left = line[i - bpp] if i >= bpp else 0
+                line[i] = (line[i] + (left + prev_row[i]) // 2) & 0xFF
+        elif ftype == 4:  # Paeth
+            for i in range(stride):
+                left = line[i - bpp] if i >= bpp else 0
+                up = prev_row[i]
+                up_left = prev_row[i - bpp] if i >= bpp else 0
+                p = left + up - up_left
+                pa, pb, pc = abs(p - left), abs(p - up), abs(p - up_left)
+                if pa <= pb and pa <= pc:
+                    pred = left
+                elif pb <= pc:
+                    pred = up
+                else:
+                    pred = up_left
+                line[i] = (line[i] + pred) & 0xFF
+        elif ftype != 0:
+            raise ImageFormatError(f"unknown PNG filter type {ftype}")
+        out[row * stride : (row + 1) * stride] = line
+        prev_row = line
+    return out
+
+
+def rotate_bilinear_whole(img: RasterImage, angle_degrees: float) -> RasterImage:
+    """Bilinear rotation with white fill, computed over the whole enlarged
+    canvas at once (the body `mixtext.imaging._rotate_bilinear` replaced)."""
+    a = math.radians(angle_degrees % 360.0)
+    cos_a, sin_a = math.cos(a), math.sin(a)
+    w, h = img.width, img.height
+    out_w = int(math.ceil(abs(w * cos_a) + abs(h * sin_a)))
+    out_h = int(math.ceil(abs(h * cos_a) + abs(w * sin_a)))
+
+    yo, xo = np.ogrid[0:out_h, 0:out_w]
+    dxo = xo - (out_w - 1) / 2.0
+    dyo = yo - (out_h - 1) / 2.0
+    # Inverse map: rotate output offsets by -angle back into source space.
+    src_x = dxo * cos_a - dyo * sin_a + (w - 1) / 2.0
+    src_y = dxo * sin_a + dyo * cos_a + (h - 1) / 2.0
+
+    x0 = np.floor(src_x).astype(np.int64)
+    y0 = np.floor(src_y).astype(np.int64)
+    fx = src_x - x0
+    fy = src_y - y0
+    # the page inside a one-pixel white ring: a tap off the page reads the ring
+    ringed = np.pad(img.to_array().astype(np.float64), 1, constant_values=255.0)
+    acc = np.zeros((out_h, out_w), dtype=np.float64)
+    for oy, wy in ((0, 1 - fy), (1, fy)):
+        for ox, wx in ((0, 1 - fx), (1, fx)):
+            acc += wx * wy * ringed[np.clip(y0 + oy, -1, h) + 1, np.clip(x0 + ox, -1, w) + 1]
+    return RasterImage.from_array(acc)
 
 
 def multiset_prf(pred: list[str], target: list[str]) -> tuple[float, float, float]:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -397,6 +398,38 @@ def test_build_labels_cli(tmp_path, data_dir, capsys):
     sidecar = json.loads((out / "a01-000u.json").read_text(encoding="utf-8"))
     assert sidecar["total_tokens"] == 28
     assert sidecar["handwritten_tokens"] == 14
+
+
+@pytest.mark.parametrize("command", ["evaluate", "build-labels"])
+def test_cli_rewrite_that_fails_keeps_the_earlier_files(
+    tmp_path, data_dir, monkeypatch, capsys, command
+):
+    # a rewrite whose rename fails leaves the earlier report or labels whole,
+    # and no temp file beside them
+    pred, label, forms, out = (tmp_path / name for name in ("pred", "label", "forms", "out"))
+    for directory in (pred, label, forms):
+        directory.mkdir()
+    (pred / "doc.txt").write_text("a move to stop\n", encoding="utf-8")
+    (label / "doc.txt").write_text("a move to stop\n", encoding="utf-8")
+    form = forms / "a01-000u.txt"
+    form.write_text((data_dir / "iam_form_minimal.txt").read_text(encoding="utf-8"), encoding="utf-8")
+    if command == "evaluate":
+        argv = ["evaluate", str(pred), str(label), "--out", str(out / "report.json")]
+        out.mkdir()
+    else:
+        argv = ["build-labels", "--iam-dir", str(forms), "--out", str(out)]
+    assert main(argv) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    (pred / "doc.txt").write_text("a move to go\n", encoding="utf-8")
+    form.write_text(form.read_text(encoding="utf-8").replace("MOVE", "MOOD"), encoding="utf-8")
+
+    def failing(self, target):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(Path, "replace", failing)
+    assert main(argv) == 1
+    assert "rename failed" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_build_labels_bad_form_is_exit_1(tmp_path, capsys):

@@ -1,12 +1,13 @@
 import struct
 import sys
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import median3_by_sort, rotating_skew
+from oracles import median3_by_sort, rotate_bilinear_whole, rotating_skew, unfilter_by_loop
 from synth import draw_page, layout_boxes
 
 from mixtext.docmodel import WordBox
@@ -16,6 +17,7 @@ from mixtext.imaging import (
     ImageFormatError,
     RasterImage,
     _median3,
+    _unfilter_scanlines,
     crop_word,
     enhance,
     estimate_skew,
@@ -261,11 +263,58 @@ def test_png_rgb_luminance(tmp_path):
 
 def test_png_rejects_16_bit(tmp_path):
     body = struct.pack(">IIBBBBB", 2, 2, 16, 0, 0, 0, 0)
-    data = b"\x89PNG\r\n\x1a\n" + struct.pack(">I", len(body)) + b"IHDR" + body + b"\x00" * 4
+    crc = struct.pack(">I", zlib.crc32(b"IHDR" + body))
+    data = b"\x89PNG\r\n\x1a\n" + struct.pack(">I", len(body)) + b"IHDR" + body + crc
     path = tmp_path / "img.png"
     path.write_bytes(data)
-    with pytest.raises(ImageFormatError):
+    with pytest.raises(ImageFormatError, match="8-bit"):
         load_image(path)
+
+
+def test_png_chunk_crc_mismatch_names_the_chunk(tmp_path):
+    valid = encode_png(np.zeros((2, 3), dtype=np.uint8), 0)
+    idat_crc = 8 + 25 + 8 + int.from_bytes(valid[33:37], "big")  # IHDR is 25 bytes
+    path = tmp_path / "img.png"
+    for name, at in (("IHDR", 8 + 8 + 13), ("IDAT", idat_crc)):
+        data = bytearray(valid)
+        data[at] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(ImageFormatError, match=f"PNG {name} chunk CRC mismatch"):
+            load_image(path)
+
+
+def filtered_scanlines(seed: int, width: int, bpp: int, filters) -> bytes:
+    rng = np.random.default_rng(seed)
+    data = rng.integers(0, 256, size=(len(filters), width * bpp), dtype=np.uint8)
+    return b"".join(bytes([ftype]) + row.tobytes() for ftype, row in zip(filters, data))
+
+
+@st.composite
+def scanline_shapes(draw):
+    """(width, bytes per pixel, one filter byte 0-4 per row)."""
+    height = draw(st.integers(1, 24))
+    filters = draw(st.lists(st.integers(0, 4), min_size=height, max_size=height))
+    return draw(st.integers(1, 24)), draw(st.sampled_from([1, 3])), filters
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=scanline_shapes(), seed=st.integers(0, 2**32 - 1))
+@example(shape=(17, 1, [4]), seed=1)  # a single row
+@example(shape=(1, 3, [4, 1, 3, 2, 0, 4, 3]), seed=2)  # a single column
+@example(shape=(1, 1, [3]), seed=3)
+@example(shape=(9, 3, [4] * 12), seed=4)
+def test_unfilter_matches_byte_loop_oracle(shape, seed):
+    width, bpp, filters = shape
+    raw = filtered_scanlines(seed, width, bpp, filters)
+    out = _unfilter_scanlines(raw, len(filters), width * bpp, bpp)
+    assert out.shape == (len(filters), width * bpp)
+    assert out.tobytes() == bytes(unfilter_by_loop(raw, len(filters), width * bpp, bpp))
+
+
+def test_unfilter_names_the_row_of_an_unknown_filter():
+    raw = filtered_scanlines(0, 2, 1, [0, 4, 5])
+    with pytest.raises(ImageFormatError, match="unknown PNG filter type 5 in row 2"):
+        _unfilter_scanlines(raw, 3, 2, 1)
 
 
 def test_malformed_images_are_format_errors(tmp_path):
@@ -295,6 +344,16 @@ def test_malformed_images_are_format_errors(tmp_path):
         "PNG pixel data too short": png(ihdr, (b"IDAT", zlib.compress(bytes(7))), iend),
         "PNG pixel data too long": png(ihdr, (b"IDAT", zlib.compress(bytes(9))), iend),
         "PNG filter type 5": encode_png(np.zeros((2, 3), dtype=np.uint8), 0, row_filters=[0, 5]),
+        "PNG without pixels across": png(
+            (b"IHDR", struct.pack(">IIBBBBB", 0, 2, 8, 0, 0, 0, 0)),
+            (b"IDAT", zlib.compress(bytes(2))),
+            iend,
+        ),
+        "RGB PNG of 0x0 pixels": png(
+            (b"IHDR", struct.pack(">IIBBBBB", 0, 0, 8, 2, 0, 0, 0)),
+            (b"IDAT", zlib.compress(b"")),
+            iend,
+        ),
     }
     for name, data in cases.items():
         path.write_bytes(data)
@@ -550,6 +609,54 @@ def test_rotate_bilinear_fills_white():
     # corners of the enlarged canvas lie outside the rotated square
     assert out[0, 0] == 255
     assert out[-1, -1] == 255
+
+
+angles_near_quarter_turns = st.sampled_from([90.0, -90.0, 270.0]).flatmap(
+    lambda q: st.floats(-0.01, 0.01).map(lambda off: q + off)
+)
+rotation_angles = st.one_of(
+    st.integers(-720, 720).map(lambda k: k * 0.5),  # the deskew grid
+    st.floats(-360.0, 360.0, allow_nan=False),
+    angles_near_quarter_turns,
+).filter(lambda angle: angle % 90.0 != 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    height=st.integers(1, 140),
+    width=st.integers(1, 140),
+    seed=st.integers(0, 2**32 - 1),
+    angle=rotation_angles,
+)
+@example(height=1, width=1, seed=0, angle=0.5)
+@example(height=130, width=3, seed=1, angle=4.5)  # bands of 64 leave a short last band
+@example(height=100, width=100, seed=2, angle=89.99)  # edge taps straddle page and white ring
+@example(height=65, width=40, seed=3, angle=-90.004)
+def test_rotate_bilinear_matches_whole_canvas_oracle(height, width, seed, angle):
+    rng = np.random.default_rng(seed)
+    img = RasterImage(rng.integers(0, 256, size=(height, width), dtype=np.uint8))
+    assert same_pixels(rotate(img, angle), rotate_bilinear_whole(img, angle))
+
+
+def traced_peak_mb(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_page_decode_and_rotation_stay_small(tmp_path):
+    # an A4 page at 100 dpi, where float64 grids over the whole rotated
+    # canvas would take 110-155 MB
+    arr = seeded_page(height=1169, width=827)
+    path = tmp_path / "page.png"
+    path.write_bytes(encode_png(arr, color_type=0))
+    page = load_image(path)
+    assert np.array_equal(page.to_array(), arr)
+    assert traced_peak_mb(lambda: load_image(path)) < 32
+    assert traced_peak_mb(lambda: rotate(page, 4.5)) < 32
 
 
 # --- crop -------------------------------------------------------------------
