@@ -100,7 +100,6 @@ _FIELD_FLAGS = [
     ("--dictionary-path", "dictionary_path", str),
     ("--frequency-path", "frequency_path", str),
     ("--embedding-path", "embedding_path", str),
-    ("--embedding-backend", "embedding_backend", str),
     ("--embedding-dim", "embedding_dim", int),
     ("--parallelism", "parallelism", int),
     ("--timeout", "timeout", float),
@@ -150,7 +149,6 @@ def _load_config(args) -> PipelineConfig:
 def _cmd_transcribe(args) -> int:
     cfg = _load_config(args)
     record = transcribe_page(args.image, cfg)
-    assert record.final is not None
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

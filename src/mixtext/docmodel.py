@@ -162,7 +162,7 @@ class PageRecord:
     image_path: str
     word_boxes: tuple[WordBox, ...]
     options: dict[tuple[int, int], OptionsList]
-    final: Transcription | None = None
+    final: Transcription
 
     def __post_init__(self):
         object.__setattr__(self, "word_boxes", tuple(self.word_boxes))
@@ -173,7 +173,7 @@ class PageRecord:
         for key in self.options:
             if key not in known:
                 raise InvariantError(f"options key {key} has no word box")
-        if self.final is not None and self.final.word_count() != len(self.word_boxes):
+        if self.final.word_count() != len(self.word_boxes):
             raise InvariantError(
                 f"final has {self.final.word_count()} words for {len(self.word_boxes)} boxes"
             )
@@ -188,7 +188,6 @@ class PageRecord:
     def from_json(cls, text: str) -> "PageRecord":
         """Inverse of to_json; a key that names no field raises TypeError."""
         doc = json.loads(text)
-        final = doc.get("final")
         return cls(**{
             **doc,
             "word_boxes": [WordBox(**w) for w in doc["word_boxes"]],
@@ -196,5 +195,5 @@ class PageRecord:
                 tuple(map(int, key.split(","))): OptionsList(**o)
                 for key, o in doc["options"].items()
             },
-            "final": None if final is None else Transcription(**final),
+            "final": Transcription(**doc["final"]),
         })

@@ -168,7 +168,6 @@ def spell_check(
     dictionary: Dictionary,
     max_edit: int = 2,
     checker_id: str = "builtin",
-    bypass_digits: bool = True,
 ) -> SpellResult:
     """Dictionary check with bounded edit-distance correction.
 
@@ -176,13 +175,13 @@ def spell_check(
     dictionary word within max_edit, ties broken by smaller distance, then
     higher corpus frequency, then lexicographic order; with no candidate the
     correction is the UNK sentinel. Single punctuation characters always
-    pass, as do digit-bearing tokens unless bypass_digits is off.
+    pass, as do digit-bearing tokens.
     """
     if max_edit not in (1, 2):
         raise ValueError(f"max_edit must be 1 or 2, got {max_edit}")
     if len(word) == 1 and not word.isalnum():
         return SpellResult(word, True, checker_id)
-    if bypass_digits and any(ch.isdigit() for ch in word):
+    if any(ch.isdigit() for ch in word):
         return SpellResult(word, True, checker_id)
     if dictionary.contains(word):
         return SpellResult(word, True, checker_id)

@@ -35,11 +35,7 @@ def build_mixed_label(printed_paragraph: str, handwritten_lines, source_id: str 
     return Transcription(tuple(lines), source_id)
 
 
-def parse_iam_ascii(
-    form_text: str,
-    printed_marker: str = PRINTED_MARKER,
-    handwritten_marker: str = HANDWRITTEN_MARKER,
-) -> tuple[str, list[list[str]]]:
+def parse_iam_ascii(form_text: str) -> tuple[str, list[list[str]]]:
     """Split a form file into its printed paragraph and handwritten token lines.
 
     Layout: header lines, a printed-section marker line, the printed
@@ -51,12 +47,12 @@ def parse_iam_ascii(
     markers: dict[str, int] = {}
     for idx, line in enumerate(lines):
         markers.setdefault(line.strip(), idx)
-    if printed_marker not in markers:
-        raise LabelFormatError(f"missing printed-section marker {printed_marker!r}")
-    if handwritten_marker not in markers:
-        raise LabelFormatError(f"missing handwritten-section marker {handwritten_marker!r}")
-    printed_start = markers[printed_marker] + 1
-    handwritten_start = markers[handwritten_marker]
+    if PRINTED_MARKER not in markers:
+        raise LabelFormatError(f"missing printed-section marker {PRINTED_MARKER!r}")
+    if HANDWRITTEN_MARKER not in markers:
+        raise LabelFormatError(f"missing handwritten-section marker {HANDWRITTEN_MARKER!r}")
+    printed_start = markers[PRINTED_MARKER] + 1
+    handwritten_start = markers[HANDWRITTEN_MARKER]
     if handwritten_start < printed_start:
         raise LabelFormatError("handwritten section precedes printed section")
 

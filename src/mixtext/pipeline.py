@@ -13,14 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .docmodel import UNK, OptionsList, PageRecord, Transcription, flatten
-from .embeddings import (
-    BACKEND_FILE,
-    BACKEND_HASH,
-    DEFAULT_HASH_DIM,
-    EmbeddingModel,
-    hash_model,
-    load_model,
-)
+from .embeddings import DEFAULT_HASH_DIM, EmbeddingModel, hash_model, load_model
 from .imaging import (
     DEFAULT_DESKEW_RANGE,
     DEFAULT_DESKEW_STEP,
@@ -57,6 +50,7 @@ IMAGE_SUFFIXES = (".pgm", ".png")
 REPORT_STEM = "report"
 # what reading a truncated, foreign or invalid page-record checkpoint raises
 CHECKPOINT_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+DEFAULT_MAX_EDIT = 2
 
 
 class ConfigError(ValueError):
@@ -73,7 +67,7 @@ class CheckerConfig:
 
     dictionary_path: str
     frequency_path: str | None = None
-    max_edit: int = 2
+    max_edit: int = DEFAULT_MAX_EDIT
     checker_id: str = "builtin"
 
     def __post_init__(self) -> None:
@@ -81,6 +75,8 @@ class CheckerConfig:
             value = getattr(self, name)
             if not isinstance(value, str) and not (value is None and name == "frequency_path"):
                 raise ConfigError(f"checker {name} must be a string, got {value!r}")
+        if not self.dictionary_path:
+            raise ConfigError("checker dictionary_path must not be empty")
         if self.max_edit not in (1, 2):
             raise ConfigError(f"checker max_edit must be 1 or 2, got {self.max_edit!r}")
 
@@ -95,7 +91,6 @@ class PipelineConfig:
     frequency_path: str | None = None
     checker_chain: tuple[CheckerConfig, ...] = ()
     embedding_path: str | None = None
-    embedding_backend: str = BACKEND_HASH
     embedding_dim: int = DEFAULT_HASH_DIM
     pad_pixels: int = DEFAULT_PAD_PIXELS
     deskew_range: float = DEFAULT_DESKEW_RANGE
@@ -108,7 +103,7 @@ class PipelineConfig:
     rotate_select: bool = True
     parallelism: int = 4
     timeout: float = DEFAULT_TIMEOUT
-    max_edit: int = 2
+    max_edit: int = DEFAULT_MAX_EDIT
 
     def __post_init__(self) -> None:
         try:
@@ -124,10 +119,8 @@ class PipelineConfig:
             raise ConfigError(f"rotation_candidates outside {CARDINAL_ANGLES}: {bad}")
         if self.nomination not in STRATEGIES:
             raise ConfigError(f"unknown nomination strategy {self.nomination!r}")
-        if self.embedding_backend not in (BACKEND_FILE, BACKEND_HASH):
-            raise ConfigError(f"unknown embedding backend {self.embedding_backend!r}")
-        if self.embedding_backend == BACKEND_FILE and not self.embedding_path:
-            raise ConfigError("embedding_backend 'file' needs embedding_path")
+        if not isinstance(self.embedding_path, (str, type(None))):
+            raise ConfigError(f"embedding_path must be a string, got {self.embedding_path!r}")
         if self.embedding_dim < 1:
             raise ConfigError(f"embedding_dim must be at least 1, got {self.embedding_dim}")
         if self.pad_pixels < 0:
@@ -141,11 +134,28 @@ class PipelineConfig:
             raise ConfigError(f"parallelism must be at least 1, got {self.parallelism}")
         if self.timeout <= 0:
             raise ConfigError(f"timeout must be positive, got {self.timeout}")
-        if self.max_edit not in (1, 2):
-            raise ConfigError(f"max_edit must be 1 or 2, got {self.max_edit}")
+        # a top-level spell-check field that the chain would not read is refused
+        if self.checker_chain or self.dictionary_path is None:
+            stray = [k for k in ("dictionary_path", "frequency_path") if getattr(self, k) is not None]
+            stray += ["max_edit"] * (self.max_edit != DEFAULT_MAX_EDIT)
+            if stray:
+                where = "beside checker_chain" if self.checker_chain else "without dictionary_path"
+                raise ConfigError(
+                    f"{', '.join(stray)} {where}: give the spell-check chain one way, as "
+                    "checker_chain or as the top-level dictionary_path, frequency_path and max_edit"
+                )
+        self.spell_check_chain  # its CheckerConfig checks the top-level values
         for kind, spec in ((MACHINE_PRINTED, self.machine_printed), (HANDWRITTEN, self.handwritten)):
             if spec is not None and spec.kind != kind:
                 raise ConfigError(f"the {kind} recognizer has kind {spec.kind!r}")
+
+    @property
+    def spell_check_chain(self) -> tuple[CheckerConfig, ...]:
+        """`checker_chain`, or the one entry that the top-level dictionary_path,
+        frequency_path and max_edit make; empty when neither is given."""
+        if self.dictionary_path is None:
+            return self.checker_chain
+        return (CheckerConfig(self.dictionary_path, self.frequency_path, self.max_edit),)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -170,10 +180,6 @@ class PipelineConfig:
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"bad {key}: {exc}") from None
         return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_dict(read_config(path))
 
 
 def read_config(path: str | Path) -> dict:
@@ -216,20 +222,15 @@ class Resources:
 
 
 def embedding_model_from_config(cfg: PipelineConfig) -> EmbeddingModel:
-    if cfg.embedding_backend == BACKEND_FILE:
+    """The vectors of `embedding_path` when it is set, else the hash model."""
+    if cfg.embedding_path is not None:
         return load_model(cfg.embedding_path)
     return hash_model(cfg.embedding_dim)
 
 
 def load_resources(cfg: PipelineConfig) -> Resources:
-    """Load dictionaries, the checker chain, and the embedding model.
-
-    Without a checker_chain, the legacy dictionary_path, frequency_path and
-    max_edit fields form a one-entry chain.
-    """
-    chain = cfg.checker_chain
-    if not chain and cfg.dictionary_path:
-        chain = (CheckerConfig(cfg.dictionary_path, cfg.frequency_path, cfg.max_edit),)
+    """Load the spell-check chain's dictionaries and the embedding model."""
+    chain = cfg.spell_check_chain
     if not chain:
         raise ConfigError("transcription needs dictionary_path or a checker_chain")
     checkers = tuple(
@@ -349,7 +350,6 @@ def write_page_outputs(record: PageRecord, out: Path) -> None:
     """Write `<stem>.txt`, then the `<stem>.json` checkpoint that a resumed run
     trusts, so that no checkpoint exists without its text. The report's stem
     is refused."""
-    assert record.final is not None
     _refuse_reserved_stem(record.source_id)
     _write_atomically(out / f"{record.source_id}.txt", record.final.to_text())
     _write_atomically(out / f"{record.source_id}.json", record.to_json())
@@ -401,8 +401,7 @@ def run_corpus(
 ) -> CorpusResult:
     """Transcribe every image in a directory, writing per-page text and JSON
     checkpoints; with labels, also build the evaluation report. On resume, a
-    readable checkpoint with a final transcription is trusted, and any other
-    is recomputed."""
+    readable checkpoint is trusted, and any other is recomputed."""
     if cfg.machine_printed is None:
         raise ConfigError("no machine_printed recognizer configured")
     resources = load_resources(cfg)
@@ -419,14 +418,9 @@ def run_corpus(
         record_path = out / f"{path.stem}.json"
         if resume and record_path.exists():
             try:
-                record = PageRecord.from_json(record_path.read_text(encoding="utf-8"))
+                return PageRecord.from_json(record_path.read_text(encoding="utf-8"))
             except CHECKPOINT_ERRORS as exc:
                 log.warning("%s: unreadable checkpoint (%s); transcribing again", path.stem, exc)
-            else:
-                if record.final is not None:
-                    return record
-                log.warning("%s: checkpoint has no final transcription; transcribing again",
-                            path.stem)
         record = transcribe_page(path, cfg, resources)
         write_page_outputs(record, out)
         return record

@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from mixtext.cli import _build_parser, _load_config, main
 from mixtext.docmodel import PageRecord, Transcription
+from mixtext.pipeline import PipelineConfig
 
 DICT_PATH = "tests/data/words_en.txt"
 
@@ -100,6 +102,32 @@ def test_missing_config_is_exit_2(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--dictionary-path", DICT_PATH), ("--frequency-path", "f.tsv"), ("--max-edit", "1")]
+)
+def test_top_level_spell_check_flag_beside_a_checker_chain_is_exit_2(tmp_path, capsys, flag, value):
+    # the spell-check chain comes one way; a flag it would not read is refused
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"checker_chain": [{"dictionary_path": DICT_PATH}]}), encoding="utf-8")
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    assert main(["--config", str(path), "evaluate", str(pred), str(pred)]) == 0
+    capsys.readouterr()
+    assert main(["--config", str(path), "evaluate", str(pred), str(pred), flag, value]) == 2
+    err = capsys.readouterr().err
+    key = flag[2:].replace("-", "_")
+    assert err.startswith(f"config error: {key} beside checker_chain") and "dictionary_path" in err
+
+
+def test_evaluate_with_a_non_string_dictionary_path_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dictionary_path": 5}), encoding="utf-8")
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    assert main(["--config", str(path), "evaluate", str(pred), str(pred)]) == 2
+    assert "config error: checker dictionary_path must be a string" in capsys.readouterr().err
+
+
 def test_invalid_flag_value_is_exit_2(planted_config_file, capsys):
     code = main(
         ["--config", str(planted_config_file), "transcribe", "x.pgm", "--nomination", "vote"]
@@ -150,6 +178,54 @@ def test_no_flags_switch_their_stage_off(monkeypatch):
         assert {stage: getattr(cfg, stage) for stage in stages} == {
             stage: stage != off for stage in stages
         }
+
+
+# one non-default value for each config flag of `transcribe`, `run` and `evaluate`
+CONFIG_FLAGS = {
+    "--machine-printed": json.dumps({"kind": "machine_printed", "backend": "mock", "mock_script": {}}),
+    "--handwritten": json.dumps({"kind": "handwritten", "backend": "mock", "mock_script": {}}),
+    "--dictionary-path": "words.txt",
+    "--frequency-path": "frequencies.tsv",
+    "--embedding-path": "vectors.txt",
+    "--embedding-dim": "8",
+    "--pad-pixels": "3",
+    "--deskew-range": "10",
+    "--deskew-step": "1",
+    "--rotation-candidates": "0,180",
+    "--nomination": "context",
+    "--enhancement-command": "enhance {in} {out}",
+    "--no-enhance": None,
+    "--no-deskew": None,
+    "--no-rotate": None,
+    "--parallelism": "2",
+    "--timeout": "5",
+    "--max-edit": "1",
+}
+
+
+def test_every_config_field_but_the_chain_has_a_flag(monkeypatch):
+    # the README promises a flag for every setting; checker_chain is file-only
+    monkeypatch.delenv("TMIXT_CONFIG", raising=False)
+    parser = _build_parser()
+    subcommands = next(a.choices for a in parser._actions if a.dest == "command")
+    for command in ("transcribe", "run", "evaluate"):
+        actions = subcommands[command]._actions
+        flags = {s for a in actions for s in a.option_strings if s.startswith("--")}
+        assert flags - {"--help", "--out", "--labels", "--resume"} == set(CONFIG_FLAGS)
+    argv = ["transcribe", "x.pgm"]
+    for flag, value in CONFIG_FLAGS.items():
+        argv += [flag] if value is None else [flag, value]
+    cfg = _load_config(parser.parse_args(argv))
+    default = PipelineConfig()
+    unset = [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)]
+    assert unset == ["checker_chain"]
+
+
+def test_readme_example_config_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Config file", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    cfg = PipelineConfig.from_dict(json.loads(example))
+    assert cfg.machine_printed is not None and cfg.dictionary_path is not None
 
 
 def test_run_without_machine_recognizer_is_exit_2(tmp_path, planted, capsys):
@@ -269,37 +345,52 @@ def test_pages_without_a_label_are_skipped(tmp_path, planted, planted_config_fil
     assert caplog.text.count(unlabelled) == 2
 
 
-def test_evaluate_with_a_vector_file(tmp_path, capsys):
+def _vector_corpus(tmp_path):
+    """A vector file of two orthogonal words, and prediction and label
+    directories whose `swapped` document has one word in place of the other."""
     vectors = tmp_path / "vectors.txt"
     vectors.write_text("move 1 0\nstop 0 1\n", encoding="utf-8")
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps({"embedding_backend": "file", "embedding_path": str(vectors)}), encoding="utf-8"
-    )
     pred = tmp_path / "pred"
     label = tmp_path / "label"
     for directory, swapped in ((pred, "move"), (label, "stop")):
         directory.mkdir()
         (directory / "same.txt").write_text("move stop\n", encoding="utf-8")
         (directory / "swapped.txt").write_text(f"{swapped}\n", encoding="utf-8")
+    return vectors, pred, label
+
+
+def test_evaluate_with_a_vector_file(tmp_path, capsys):
+    vectors, pred, label = _vector_corpus(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"embedding_path": str(vectors)}), encoding="utf-8")
     report_path = tmp_path / "report.json"
     code = main(["--config", str(config), "evaluate", str(pred), str(label), "--out", str(report_path)])
     assert code == 0
     per_doc = json.loads(report_path.read_text(encoding="utf-8"))["per_doc"]
     assert per_doc["same"]["doc_similarity"] == pytest.approx(1.0)
     assert per_doc["swapped"]["doc_similarity"] == 0.0  # orthogonal vectors
-    # the file backend without a vector file is refused before any scoring
-    config.write_text(json.dumps({"embedding_backend": "file"}), encoding="utf-8")
+    # an embedding_path that is not a string is refused before any scoring
+    config.write_text(json.dumps({"embedding_path": 5}), encoding="utf-8")
     assert main(["--config", str(config), "evaluate", str(pred), str(label)]) == 2
-    assert "embedding_path" in capsys.readouterr().err
+    assert "config error: embedding_path" in capsys.readouterr().err
+
+
+def test_embedding_path_flag_alone_selects_the_vector_file(tmp_path, monkeypatch):
+    monkeypatch.delenv("TMIXT_CONFIG", raising=False)
+    vectors, pred, label = _vector_corpus(tmp_path)
+    report_path = tmp_path / "report.json"
+    argv = ["evaluate", str(pred), str(label), "--out", str(report_path)]
+    assert main([*argv, "--embedding-path", str(vectors)]) == 0
+    per_doc = json.loads(report_path.read_text(encoding="utf-8"))["per_doc"]
+    assert per_doc["swapped"]["doc_similarity"] == 0.0  # the file's vectors, not the hash model's
 
 
 def test_malformed_vector_file_is_exit_1(tmp_path, planted, capsys):
     vectors = tmp_path / "vectors.txt"
     vectors.write_text("move 1 0\nstop 0 1 1\n", encoding="utf-8")
     config = tmp_path / "config.json"
-    doc = {**json.loads(config_json(planted.config)), "embedding_backend": "file"}
-    config.write_text(json.dumps({**doc, "embedding_path": str(vectors)}), encoding="utf-8")
+    doc = {**json.loads(config_json(planted.config)), "embedding_path": str(vectors)}
+    config.write_text(json.dumps(doc), encoding="utf-8")
     for command in (
         ["evaluate", str(planted.labels_dir), str(planted.labels_dir)],
         ["run", str(planted.input_dir), "--out", str(tmp_path / "out")],

@@ -136,15 +136,19 @@ def _boxes():
     )
 
 
+def _final():
+    return Transcription((("A", "move"),), "p")
+
+
 def test_page_record_rejects_unknown_options_key():
     with pytest.raises(InvariantError):
-        PageRecord("p", "p.pgm", _boxes(), {(5, 5): OptionsList(a="x", b="x")})
+        PageRecord("p", "p.pgm", _boxes(), {(5, 5): OptionsList(a="x", b="x")}, _final())
 
 
 def test_page_record_rejects_duplicate_positions():
     dup = (_boxes()[0], WordBox("B", (40, 0, 50, 10), 0, 0))
     with pytest.raises(InvariantError):
-        PageRecord("p", "p.pgm", dup, {})
+        PageRecord("p", "p.pgm", dup, {}, _final())
 
 
 def test_page_record_final_word_count():
@@ -212,8 +216,10 @@ def test_checkpoint_in_the_earlier_layout_loads():
     }
     text = json.dumps(doc, ensure_ascii=False, indent=2)
     assert PageRecord.from_json(text) == _mixed_record()
+    # every record has a final transcription: a null one makes the checkpoint unreadable
     doc["final"] = None
-    assert PageRecord.from_json(json.dumps(doc)).final is None
+    with pytest.raises(TypeError):
+        PageRecord.from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("where", ["top", "word_box", "options", "final"])

@@ -133,7 +133,6 @@ def test_digit_tokens_pass_by_default():
     d = Dictionary({"the"})
     assert spell_check("604", d).passed
     assert spell_check("a01-000u", d).passed
-    assert not spell_check("604", d, bypass_digits=False).passed
 
 
 def test_bad_max_edit():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixtext.docmodel import OptionsList, PageRecord, WordBox
+from mixtext.docmodel import OptionsList, PageRecord, Transcription, WordBox
 from mixtext.embeddings import EmbeddingModel, hash_model
 from mixtext.metrics import (
     DocScores,
@@ -195,7 +195,8 @@ def _page(sizes: list[int], source_id: str = "p") -> PageRecord:
             options[wb.position] = OptionsList(a=wb.text, b="other", c="fix", d="fix")
         else:
             options[wb.position] = OptionsList(a=wb.text, b="other", c="fix", d="fixed")
-    return PageRecord(source_id, f"{source_id}.pgm", tuple(boxes), options)
+    final = Transcription((tuple(wb.text for wb in boxes),))
+    return PageRecord(source_id, f"{source_id}.pgm", tuple(boxes), options, final)
 
 
 def test_options_stats_exact_proportions():

@@ -14,6 +14,7 @@ from mixtext.pipeline import (
     PageError,
     PipelineConfig,
     load_resources,
+    read_config,
     run_corpus,
     select_rotation,
     transcribe_page,
@@ -77,11 +78,7 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         PipelineConfig(parallelism=0).validate()
     with pytest.raises(ConfigError):
-        PipelineConfig(max_edit=5).validate()
-    with pytest.raises(ConfigError):
-        PipelineConfig(embedding_backend="bert").validate()
-    with pytest.raises(ConfigError):
-        PipelineConfig(embedding_backend="file")  # without an embedding_path
+        PipelineConfig(dictionary_path=DICT_PATH, max_edit=5).validate()
     with pytest.raises(ConfigError):
         PipelineConfig(embedding_dim=0)
     # the config validates itself, so a bad replace fails at once
@@ -119,7 +116,7 @@ def test_config_from_file(tmp_path):
         json.dumps({"pad_pixels": 4, "nomination": "context", "rotation_candidates": [0, 180]}),
         encoding="utf-8",
     )
-    cfg = PipelineConfig.from_file(path)
+    cfg = PipelineConfig.from_dict(read_config(path))
     assert cfg.pad_pixels == 4
     assert cfg.nomination == "context"
     assert cfg.rotation_candidates == (0, 180)
@@ -129,7 +126,7 @@ def test_config_from_file_bad_json(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError):
-        PipelineConfig.from_file(path)
+        PipelineConfig.from_dict(read_config(path))
 
 
 def test_load_resources_needs_dictionary():
@@ -158,15 +155,38 @@ def test_legacy_dictionary_fields_form_one_checker(tmp_path):
     legacy = load_resources(PipelineConfig(dictionary_path=DICT_PATH, max_edit=1))
     assert [(c.checker_id, c.max_edit) for c in legacy.checkers] == [("builtin", 1)]
     assert legacy.dictionary is legacy.checkers[0].dictionary
-    # an explicit chain wins over the legacy fields
-    other = tmp_path / "other.txt"
-    other.write_text("zonkey\n", encoding="utf-8")
-    both = PipelineConfig(
-        dictionary_path=DICT_PATH, checker_chain=(CheckerConfig(str(other), checker_id="other"),)
-    )
-    resources = load_resources(both)
-    assert [c.checker_id for c in resources.checkers] == ["other"]
-    assert not resources.dictionary.contains("the")
+    # the chain comes one way: the top-level fields beside an explicit chain are refused
+    chain = (CheckerConfig(DICT_PATH, checker_id="other"),)
+    with pytest.raises(ConfigError, match="dictionary_path beside checker_chain"):
+        PipelineConfig(dictionary_path=DICT_PATH, checker_chain=chain)
+
+
+@pytest.mark.parametrize(
+    "fields, keys",
+    [
+        ({"frequency_path": "freq.tsv"}, "frequency_path without dictionary_path"),
+        ({"max_edit": 1}, "max_edit without dictionary_path"),
+        ({"frequency_path": "freq.tsv", "checker_chain": [{"dictionary_path": DICT_PATH}]},
+         "frequency_path beside checker_chain"),
+        ({"max_edit": 1, "checker_chain": [{"dictionary_path": DICT_PATH}]},
+         "max_edit beside checker_chain"),
+        ({"dictionary_path": 5}, "dictionary_path must be a string"),
+        ({"dictionary_path": ""}, "dictionary_path must not be empty"),
+        ({"dictionary_path": DICT_PATH, "frequency_path": 5}, "frequency_path must be a string"),
+        ({"dictionary_path": DICT_PATH, "max_edit": 3}, "max_edit must be 1 or 2"),
+    ],
+)
+def test_top_level_spell_check_fields_are_read_or_refused(fields, keys):
+    with pytest.raises(ConfigError, match=keys):
+        PipelineConfig.from_dict(fields)
+
+
+def test_spell_check_chain_comes_one_way():
+    entry = CheckerConfig(DICT_PATH, "freq.tsv", 1)
+    top = PipelineConfig(dictionary_path=DICT_PATH, frequency_path="freq.tsv", max_edit=1)
+    assert top.spell_check_chain == (entry,)
+    assert PipelineConfig(checker_chain=(entry,)).spell_check_chain == (entry,)
+    assert PipelineConfig().spell_check_chain == ()
 
 
 # --- single page flow ---------------------------------------------------------
@@ -620,8 +640,8 @@ def test_corpus_resume_recomputes_unreadable_checkpoints(tmp_path, planted):
 
 
 def test_corpus_resume_recomputes_checkpoint_without_final(tmp_path, planted, caplog):
-    # a readable checkpoint with no final transcription cannot be scored, so
-    # a resumed run transcribes its page again and the report covers it
+    # a checkpoint with no final transcription is unreadable, so a resumed
+    # run transcribes its page again and the report covers it
     corpus = planted
     out = tmp_path / "out"
     first = run_corpus(corpus.input_dir, corpus.config, out, corpus.labels_dir)
@@ -633,7 +653,7 @@ def test_corpus_resume_recomputes_checkpoint_without_final(tmp_path, planted, ca
     caplog.clear()
     again = run_corpus(corpus.input_dir, corpus.config, out, corpus.labels_dir, resume=True)
     assert not again.failures
-    assert f"{stem}: checkpoint has no final transcription" in caplog.text
+    assert f"{stem}: unreadable checkpoint" in caplog.text
     assert {p.source_id: p.to_json() for p in again.pages} == expected
     assert again.report.to_json() == first.report.to_json()
     assert again.report.document_count() == len(expected)
