@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,21 +48,32 @@ def tokenize(text: str) -> list[str]:
 
 
 class Dictionary:
-    """Immutable word list with a lowercase index and optional frequencies."""
+    """Immutable word list with frequencies, held as one table: `frequencies`
+    maps each word, in the order first given, to its count, 0 when none is
+    given; a count for a word not in the list is dropped. `words` is that
+    table's keys view."""
 
     def __init__(self, words, frequencies=None):
-        self.words = frozenset(words)
-        self.casefold_index = frozenset(w.lower() for w in self.words)
-        self.frequencies = dict(frequencies) if frequencies else {}
+        self.frequencies = dict.fromkeys(words, 0)
+        for word, count in (frequencies or {}).items():
+            if word in self.frequencies:
+                self.frequencies[word] = count
+        self.words = self.frequencies.keys()
+        # the lowercase forms of the words that do not lowercase to themselves
+        self._lowered = frozenset(low for w in self.words if (low := w.lower()) != w)
         self._length_index: LengthIndex | None = None
         self._length_index_lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.frequencies)
 
     def contains(self, word: str) -> bool:
-        """Case-insensitive membership; the index holds every word in lower case."""
-        return word.lower() in self.casefold_index
+        """Case-insensitive membership: whether the word's lowercase form is
+        the lowercase form of a dictionary word. A word that lowercases to
+        itself stands for its own form in the table; the other words' forms
+        are in `_lowered`."""
+        low = word.lower()
+        return low in self._lowered or (low in self.frequencies and low.lower() == low)
 
     def length_index(self) -> LengthIndex:
         """The words sorted by length for correction, built on the first
@@ -86,7 +98,7 @@ class LengthIndex:
     distance (the bag-distance filter of Bartolini, Ciaccia and Patella,
     SPIRE 2002); bits shared by several characters only weaken it."""
 
-    def __init__(self, words: frozenset[str]):
+    def __init__(self, words: Collection[str]):
         self.dense = {ord(ch): i for i, ch in enumerate(sorted(set("".join(words))))}
         self.words = sorted(words, key=len)
         width = len(self.words[-1]) if self.words else 0
@@ -139,19 +151,24 @@ def _within(bits: np.ndarray, count: int) -> np.ndarray:
 
 
 def load_dictionary(path: str | Path, frequency_path: str | Path | None = None) -> Dictionary:
-    """Read a one-word-per-line dictionary, optionally with word<TAB>count frequencies."""
-    words = [line.strip() for line in read_text(path).splitlines()]
-    frequencies = {}
+    """Read a one-word-per-line dictionary, optionally with word<TAB>count
+    frequencies. Words are stripped on both files; a count for a word that is
+    not in the dictionary is checked and then ignored."""
+    dictionary = Dictionary(filter(None, map(str.strip, read_text(path).splitlines())))
     if frequency_path is not None:
+        table = dictionary.frequencies
         for lineno, line in enumerate(read_text(frequency_path).splitlines(), 1):
             if not line.strip():
                 continue
-            word, _, count = line.partition("\t")
+            word, _, number = line.partition("\t")
             try:
-                frequencies[word] = int(count)
+                count = int(number)
             except ValueError:
                 raise TextFileError(f"{frequency_path}:{lineno}: not word<TAB>count") from None
-    return Dictionary((w for w in words if w), frequencies)
+            word = word.strip()
+            if word in table:
+                table[word] = count
+    return dictionary
 
 
 @dataclass(frozen=True)
@@ -190,7 +207,7 @@ def spell_check(
     keep, distances = index.near(word, max_edit)
     close = distances <= max_edit
     keys = [
-        (distance, -dictionary.frequencies.get(index.words[i], 0), index.words[i])
+        (distance, -dictionary.frequencies[index.words[i]], index.words[i])
         for i, distance in zip(keep[close].tolist(), distances[close].tolist())
     ]
     return SpellResult(min(keys, default=(0, 0, UNK))[2], False, checker_id)

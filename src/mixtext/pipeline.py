@@ -123,6 +123,8 @@ class PipelineConfig:
             raise ConfigError(f"embedding_path must be a string, got {self.embedding_path!r}")
         if self.embedding_dim < 1:
             raise ConfigError(f"embedding_dim must be at least 1, got {self.embedding_dim}")
+        if self.embedding_path is not None and self.embedding_dim != DEFAULT_HASH_DIM:
+            raise ConfigError("embedding_dim beside embedding_path: the vector file sets the dimension")
         if self.pad_pixels < 0:
             raise ConfigError(f"pad_pixels must be non-negative, got {self.pad_pixels}")
         if not 0 < self.deskew_step <= self.deskew_range <= 45:

@@ -212,13 +212,16 @@ def test_every_config_field_but_the_chain_has_a_flag(monkeypatch):
         actions = subcommands[command]._actions
         flags = {s for a in actions for s in a.option_strings if s.startswith("--")}
         assert flags - {"--help", "--out", "--labels", "--resume"} == set(CONFIG_FLAGS)
-    argv = ["transcribe", "x.pgm"]
-    for flag, value in CONFIG_FLAGS.items():
-        argv += [flag] if value is None else [flag, value]
-    cfg = _load_config(parser.parse_args(argv))
     default = PipelineConfig()
-    unset = [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)]
-    assert unset == ["checker_chain"]
+    # embedding_dim is refused beside embedding_path, so each goes without the other once
+    for left_out in ("--embedding-dim", "--embedding-path"):
+        argv = ["transcribe", "x.pgm"]
+        for flag, value in CONFIG_FLAGS.items():
+            if flag != left_out:
+                argv += [flag] if value is None else [flag, value]
+        cfg = _load_config(parser.parse_args(argv))
+        unset = [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)]
+        assert unset == ["checker_chain", left_out[2:].replace("-", "_")]
 
 
 def test_readme_example_config_loads():
@@ -383,6 +386,16 @@ def test_embedding_path_flag_alone_selects_the_vector_file(tmp_path, monkeypatch
     assert main([*argv, "--embedding-path", str(vectors)]) == 0
     per_doc = json.loads(report_path.read_text(encoding="utf-8"))["per_doc"]
     assert per_doc["swapped"]["doc_similarity"] == 0.0  # the file's vectors, not the hash model's
+
+
+def test_embedding_dim_beside_embedding_path_is_exit_2(tmp_path, monkeypatch, capsys):
+    # the vector file sets the dimension, so an embedding_dim beside it is refused, not ignored
+    monkeypatch.delenv("TMIXT_CONFIG", raising=False)
+    vectors, pred, label = _vector_corpus(tmp_path)
+    argv = ["evaluate", str(pred), str(label), "--embedding-path", str(vectors)]
+    assert main([*argv, "--embedding-dim", "7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: embedding_dim beside embedding_path")
 
 
 def test_malformed_vector_file_is_exit_1(tmp_path, planted, capsys):

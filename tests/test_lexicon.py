@@ -1,5 +1,9 @@
+import gc
+import random
+import string
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import dp_distance
 
 from mixtext import lexicon
-from mixtext.docmodel import UNK
+from mixtext.docmodel import UNK, TextFileError
 from mixtext.lexicon import (
     Dictionary,
     SpellChecker,
@@ -87,6 +91,25 @@ def test_casefolded_hit_passes():
     assert result.passed and result.corrected == "The"
 
 
+# final and medial sigma, a capital whose lowercase form is two characters
+# (İ), sharp s, a titlecase digraph, a ligature, a combining dot that a sigma
+# looks through, and an astral letter in both cases
+case_chars = st.sampled_from("aAsSΣσςİiẞßǅǆǄﬃ̇𐐀𐐨")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    words=st.lists(st.text(case_chars, max_size=5), max_size=8),
+    query=st.text(case_chars, max_size=5),
+)
+def test_contains_matches_the_lowercase_vocabulary(words, query):
+    d = Dictionary(words)
+    vocabulary = {w.lower() for w in words}
+    recased = [f(w) for w in words for f in (str.lower, str.upper, str.swapcase, str.title)]
+    for q in [query, *recased]:
+        assert d.contains(q) == (q.lower() in vocabulary), q
+
+
 def test_teh_corrects_to_nearest():
     d = Dictionary({"the", "tea"})
     # plain Levenshtein: teh->the needs two substitutions, teh->tea one
@@ -148,7 +171,7 @@ small_words = st.text(alphabet="abcdet", min_size=1, max_size=6)
 def test_spell_check_matches_brute_force(word, vocab):
     d = Dictionary(vocab)
     got = spell_check(word, d)
-    if word in d.words or word.lower() in d.casefold_index:
+    if word.lower() in {w.lower() for w in vocab}:
         assert got.passed and got.corrected == word
     else:
         assert got.corrected == nearest_by_scan(word, d, 2)
@@ -419,7 +442,61 @@ def test_load_dictionary(tmp_path):
     freq.write_text("alpha\t10\nbeta\t3\n", encoding="utf-8")
     d = load_dictionary(words, freq)
     assert d.words == {"alpha", "beta", "gamma"}
-    assert d.frequencies == {"alpha": 10, "beta": 3}
+    assert d.frequencies == {"alpha": 10, "beta": 3, "gamma": 0}
+
+
+def test_frequency_words_are_stripped_like_dictionary_words(tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text(" cat \ncot\n", encoding="utf-8")
+    freq = tmp_path / "freq.txt"
+    freq.write_text("cat\t2\ncot \t5\n", encoding="utf-8")
+    d = load_dictionary(words, freq)
+    assert d.frequencies == {"cat": 2, "cot": 5}
+    assert spell_check("cxt", d).corrected == "cot"  # the higher count wins the tie
+
+
+def test_frequency_lines_for_unknown_words(tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("alpha\nbeta\nalpha\n", encoding="utf-8")
+    freq = tmp_path / "freq.txt"
+    freq.write_text("alpha\t1\nomega\t9\n", encoding="utf-8")
+    d = load_dictionary(words, freq)
+    # a count for a word that is not in the dictionary is ignored
+    assert d.frequencies == {"alpha": 1, "beta": 0}
+    assert not d.contains("omega")
+    # but its line is still checked
+    freq.write_text("alpha\t1\n\nomega\tmany\n", encoding="utf-8")
+    with pytest.raises(TextFileError, match=r"freq\.txt:3: not word<TAB>count"):
+        load_dictionary(words, freq)
+
+
+def test_loaded_dictionary_holds_each_word_once(tmp_path):
+    rng = random.Random(20)
+    words = list(dict.fromkeys(
+        "".join(rng.choices(string.ascii_lowercase, k=rng.randint(3, 12))) for _ in range(20_000)
+    ))
+    words_path = tmp_path / "words.txt"
+    words_path.write_text("\n".join(words) + "\n", encoding="utf-8")
+    freq_path = tmp_path / "freq.txt"
+    freq_path.write_text(
+        "".join(f"{w}\t{1_000_000 // rank}\n" for rank, w in enumerate(words, 1)), encoding="utf-8"
+    )
+    load_dictionary(words_path, freq_path)  # any one-time caches fill outside the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        d = load_dictionary(words_path, freq_path)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(d) == len(words)
+    # one string, one table slot and one count a word come to about 85 bytes;
+    # a second store of the words and a lowercase copy bring it past 400
+    assert retained / len(words) < 150
+    keys = {id(w) for w in d.frequencies}
+    index = d.length_index()
+    assert len(index.words) == len(keys) and all(id(w) in keys for w in index.words)
 
 
 def test_fixture_dictionary_loads(english):
